@@ -4,9 +4,9 @@ import repro.SparkSpec
 import repro.exp.Tables
 
 /** Benchmark suites — one per paper table. Each prints the measured rows with
-  * the paper's published values inline; `sbt "bench/test"` regenerates all of
-  * them (tee the output to bench_output.txt, and see EXPERIMENTS.md for the
-  * recorded side-by-side numbers).
+  * the paper's published values inline to standard output; `sbt "bench/test"`
+  * regenerates all of them (see EXPERIMENTS.md for the recorded side-by-side
+  * numbers).
   */
 class Table2Bench extends SparkSpec {
   test("Table 2: Rand index vs noise rate on Syn") {

@@ -157,7 +157,7 @@ object ApproxDPC extends DPCAlgorithm {
 
     val mem = tree.memBytes + grid.memBytes +
       nbrsC.iterator.map(a => if (a == null) 0L else 4L * a.length).sum +
-      ExactDependents.memBytes(n)
+      ExactDependents.memBytes(n, pts.d)
     new DPCResult(rho, depId, delta,
       PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), mem)
   }

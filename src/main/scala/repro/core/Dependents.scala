@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.kdtree.KdTree
+import repro.kdtree.MaxRhoKdTree
 
 /** O(n^2)-style dependent-point search with early termination (§2.1 step 3):
   * points are sorted by descending density and each point scans only the
@@ -52,21 +52,21 @@ object ScanDependents {
   }
 }
 
-/** The exact dependent-point search of Approx-DPC (§4.3): sort a candidate
-  * universe by ascending density, split it into `s` contiguous subsets sized by
-  * Equation (2), index each subset with a kd-tree, and answer each query with
+/** The exact dependent-point search of Approx-DPC (§4.3), also used by
+  * S-Approx-DPC's fallback (universe = picked points).
   *
-  *  - case (ii): partial scan of the query's own subset (only higher ranks),
-  *  - case (i):  bounded NN searches on every higher subset's kd-tree,
-  *  - case (iii): lower subsets skipped.
-  *
-  * Queries are distributed to Spark tasks with the paper's cost model
-  * `cost_dep` via LPT. Also reused by S-Approx-DPC's fallback (universe =
-  * picked points).
+  * One [[MaxRhoKdTree]] over the universe (a kd-tree whose nodes store their
+  * subtree's largest density) answers each query independently with a pruned
+  * nearest-neighbour search, so the queries fan out over [[Par]] with no
+  * per-query cost model. This replaces the paper's `s` density-sorted subset
+  * trees of Equation (2) and their `cost_dep` balancing; see DESIGN.md §3.
   */
 object ExactDependents {
 
-  /** Smallest s with n/s <= (s-1) * (n/s)^{1-1/d} (Equation 2). */
+  /** Smallest s with n/s <= (s-1) * (n/s)^{1-1/d} (Equation 2): the paper's
+    * subset count, no longer used by [[compute]] but still recorded by the
+    * benchmark.
+    */
   def chooseS(n: Int, d: Int): Int = {
     var s = 2
     while (s < 64 && n.toDouble / s > (s - 1).toDouble * math.pow(n.toDouble / s, 1.0 - 1.0 / d)) s += 1
@@ -75,7 +75,9 @@ object ExactDependents {
 
   /** For each query (must be in `universe`), the nearest universe point with
     * strictly higher density. Returns `(query, depId, delta)` triples; queries
-    * with no higher-density universe point get `(-1, +inf)`.
+    * with no higher-density universe point get `(-1, +inf)`. `delta` is
+    * bit-identical to `pts.dist(query, depId)`; among equidistant candidates
+    * the smallest id is chosen.
     */
   def compute(
       spark: SparkSession,
@@ -84,78 +86,38 @@ object ExactDependents {
       universe: Array[Int],
       queries: Array[Int]
   ): Array[(Int, Int, Double)] = {
-    val m = universe.length
-    if (m == 0 || queries.isEmpty)
+    if (universe.isEmpty || queries.isEmpty)
       return queries.map(q => (q, -1, Double.PositiveInfinity))
 
-    val sorted = universe.sortBy(i => rho(i)) // ascending density
-    val rankOf = new java.util.HashMap[Integer, Integer](m * 2)
-    var r = 0
-    while (r < m) { rankOf.put(sorted(r), r); r += 1 }
+    val d    = pts.d
+    val tree = MaxRhoKdTree.build(pts, rho, universe)
+    // The tasks read only the tree and the queries' own coordinates and densities.
+    val qx   = new Array[Double](queries.length * d)
+    var k = 0
+    while (k < queries.length) { System.arraycopy(pts.data, queries(k) * d, qx, k * d, d); k += 1 }
+    val qRho = queries.map(rho)
 
-    val s     = math.min(chooseS(m, pts.d), m)
-    val bound = Array.tabulate(s + 1)(j => j * m / s) // subset j = ranks [bound(j), bound(j+1))
-    val trees = Array.tabulate(s) { j =>
-      new KdTree(pts).buildFrom(sorted.slice(bound(j), bound(j + 1)))
-    }
-    val subsetOf = new Array[Int](m)
-    var j = 0
-    while (j < s) {
-      var t = bound(j)
-      while (t < bound(j + 1)) { subsetOf(t) = j; t += 1 }
-      j += 1
-    }
-
-    val sc       = spark.sparkContext
-    val bcPts    = sc.broadcast(pts)
-    val bcSorted = sc.broadcast(sorted)
-    val bcTrees  = sc.broadcast(trees)
+    val sc     = spark.sparkContext
+    val bcTree = sc.broadcast(tree)
+    val bcQ    = sc.broadcast((qx, qRho))
 
     import spark.implicits._
-    val perSub  = m.toDouble / s
-    val nnCost  = math.pow(perSub, 1.0 - 1.0 / pts.d)
-    val costs = queries.map { q =>
-      val rank  = rankOf.get(q).intValue()
-      val own   = subsetOf(rank)
-      val above = s - own - 1
-      // cost_dep of §4.5: a partial scan of the own subset plus an NN per higher subset.
-      (bound(own + 1) - rank).toDouble + above * nnCost + 1.0
-    }
-    val qArr = queries
-    val out = Par.mapBalanced[(Int, Int, Double)](spark, costs, spark.sparkContext.defaultParallelism) { idxs =>
-      val p   = bcPts.value
-      val ord = bcSorted.value
-      val tr  = bcTrees.value
-      idxs.iterator.map { qi =>
-        val q     = qArr(qi)
-        val rank  = rankOf.get(q).intValue()
-        val own   = subsetOf(rank)
-        val qc    = p.point(q)
-        var bestId = -1
-        var bestD2 = Double.PositiveInfinity
-        // case (ii): own subset, higher ranks only
-        var t = rank + 1
-        while (t < bound(own + 1)) {
-          val cand = ord(t)
-          val d2   = p.dist2(q, cand)
-          if (d2 < bestD2) { bestD2 = d2; bestId = cand }
-          t += 1
-        }
-        // case (i): subsets strictly above
-        var jj = own + 1
-        while (jj < s) {
-          val b = if (bestD2.isInfinity) Double.PositiveInfinity else math.sqrt(bestD2)
-          val (id, dist) = tr(jj).nearest(qc, b)
-          if (id >= 0 && dist * dist < bestD2) { bestD2 = dist * dist; bestId = id }
-          jj += 1
-        }
-        (q, bestId, if (bestId < 0) Double.PositiveInfinity else math.sqrt(bestD2))
+    // A query costs microseconds, so one group per core: more tasks would
+    // only add Spark's per-task overhead.
+    val out = Par.mapIndexed[(Int, Int, Double)](spark, queries.length, oversub = 1) { qis =>
+      val t        = bcTree.value
+      val (xs, rq) = bcQ.value
+      val q        = new Array[Double](d)
+      qis.iterator.map { qi =>
+        System.arraycopy(xs, qi * d, q, 0, d)
+        val (dep, dist) = t.denserNearest(q, rq(qi))
+        (qi, dep, dist)
       }
     }
-    bcPts.destroy(); bcSorted.destroy(); bcTrees.destroy()
-    out
+    bcTree.destroy(); bcQ.destroy()
+    out.map { case (qi, dep, dist) => (queries(qi), dep, dist) }
   }
 
-  /** Modelled footprint of the subset kd-trees over `m` points. */
-  def memBytes(m: Int): Long = m.toLong * 40L
+  /** Modelled footprint of the search's kd-tree over `m` points in `R^d`. */
+  def memBytes(m: Int, d: Int): Long = MaxRhoKdTree.memBytes(m, d)
 }

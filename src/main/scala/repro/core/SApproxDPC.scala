@@ -19,7 +19,7 @@ final case class PickedDensity(cell: Int, rho: Double, nbrs: Seq[Int])
   * `(1+eps) * dcut`); the residual roots `P'_pick` form *temporal clusters*
   * whose radii prune candidates via the triangle inequality in phase 2. If
   * `|P'_pick|^2` exceeds O(n), the paper's fallback — Approx-DPC's exact
-  * subset search over the picked set — kicks in.
+  * dependent search over the picked set — kicks in.
   */
 object SApproxDPC extends DPCAlgorithm {
   override val name = "S-Approx-DPC"
@@ -118,7 +118,7 @@ object SApproxDPC extends DPCAlgorithm {
     val pPrime = roots.result()
 
     if (pPrime.length.toLong * pPrime.length > 4L * n) {
-      // Fallback of §5: Approx-DPC's exact subset search over the picked set.
+      // Fallback of §5: Approx-DPC's exact dependent search over the picked set.
       val exact = ExactDependents.compute(spark, pts, rho, picked, pPrime)
       exact.foreach { case (q, dep, dd) => depId(q) = dep; delta(q) = dd }
     } else if (pPrime.nonEmpty) {

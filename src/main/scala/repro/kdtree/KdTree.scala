@@ -43,38 +43,11 @@ final class KdTree(val pts: Pts) extends Serializable {
     if (lo >= hi) return null
     val axis = depth % pts.d
     val mid  = (lo + hi) >>> 1
-    selectMedian(a, lo, hi, mid, axis)
+    KdTree.selectMedian(pts, a, lo, hi, mid, axis)
     val node = new Node(a(mid), axis)
     node.left = buildRec(a, lo, mid, depth + 1)
     node.right = buildRec(a, mid + 1, hi, depth + 1)
     node
-  }
-
-  /** Quickselect: after the call, a(k) holds the k-th order statistic of
-    * a(lo until hi) by coordinate `axis`, with smaller keys left of it.
-    */
-  private def selectMedian(a: Array[Int], lo0: Int, hi0: Int, k: Int, axis: Int): Unit = {
-    var lo = lo0
-    var hi = hi0 - 1 // inclusive
-    var seed = (lo0 * 31 + hi0) | 1
-    while (lo < hi) {
-      seed = seed * 1103515245 + 12345
-      val pi    = lo + ((seed >>> 16) % (hi - lo + 1) + (hi - lo + 1)) % (hi - lo + 1)
-      val pivot = pts.coord(a(pi), axis)
-      var i = lo
-      var j = hi
-      while (i <= j) {
-        while (pts.coord(a(i), axis) < pivot) i += 1
-        while (pts.coord(a(j), axis) > pivot) j -= 1
-        if (i <= j) {
-          val t = a(i); a(i) = a(j); a(j) = t
-          i += 1; j -= 1
-        }
-      }
-      if (k <= j) hi = j
-      else if (k >= i) lo = i
-      else return
-    }
   }
 
   /** Insert one point; axis cycles with depth, no rebalancing (paper §3). */
@@ -157,4 +130,34 @@ final class KdTree(val pts: Pts) extends Serializable {
 
   /** Modelled footprint: one node (header + id + axis + 2 refs) per point. */
   def memBytes: Long = count0.toLong * 40L
+}
+
+object KdTree {
+
+  /** Quickselect: after the call, a(k) holds the k-th order statistic of
+    * a(lo until hi) by coordinate `axis`, with smaller keys left of it.
+    */
+  private[kdtree] def selectMedian(pts: Pts, a: Array[Int], lo0: Int, hi0: Int, k: Int, axis: Int): Unit = {
+    var lo = lo0
+    var hi = hi0 - 1 // inclusive
+    var seed = (lo0 * 31 + hi0) | 1
+    while (lo < hi) {
+      seed = seed * 1103515245 + 12345
+      val pi    = lo + ((seed >>> 16) % (hi - lo + 1) + (hi - lo + 1)) % (hi - lo + 1)
+      val pivot = pts.coord(a(pi), axis)
+      var i = lo
+      var j = hi
+      while (i <= j) {
+        while (pts.coord(a(i), axis) < pivot) i += 1
+        while (pts.coord(a(j), axis) > pivot) j -= 1
+        if (i <= j) {
+          val t = a(i); a(i) = a(j); a(j) = t
+          i += 1; j -= 1
+        }
+      }
+      if (k <= j) hi = j
+      else if (k >= i) lo = i
+      else return
+    }
+  }
 }

@@ -103,6 +103,41 @@ class SApproxDPCSpec extends SparkSpec {
     assert(r.delta(0).isInfinity && r.depId(0) === -1)
   }
 
+  test("fallback branch (|P'_pick|^2 > 4n): picked deltas bound Ex-DPC's, one picked root") {
+    // Sparse noise with a small dcut: most picked points have no neighbour
+    // cell within dcut, so they stay roots after phase 1.
+    val pts    = TestUtil.clusteredPts(1500, 2, k = 3, sigma = 40.0, domain = 1000.0, seed = 790, noiseRate = 0.3)
+    val dcut   = 8.0
+    val eps    = 0.5
+    val params = DPCParams(dcut, epsilon = eps)
+    val grid   = new Grid(pts, eps * dcut / math.sqrt(pts.d.toDouble))
+    val picked = grid.cells.map(_.min)
+    val rhoB   = TestUtil.bruteRho(pts, dcut)
+    // P'_pick recomputed from the input: picked points with no denser picked
+    // point in a cell holding a point within dcut of them.
+    val roots = picked.indices.filter { c =>
+      val pi = picked(c)
+      (0 until pts.n).forall { q =>
+        val c2 = grid.cellOf(q)
+        c2 == c || q == pi || pts.dist2(pi, q) >= dcut * dcut || rhoB(picked(c2)) <= rhoB(pi)
+      }
+    }.map(picked)
+    assert(roots.length.toLong * roots.length > 4L * pts.n, s"|P'_pick| = ${roots.length} does not take the fallback")
+
+    val res = SApproxDPC.run(spark, pts, params)
+    val ex  = ExDPC.run(spark, pts, params)
+    picked.foreach { i =>
+      assert(res.delta(i) >= ex.delta(i), s"picked $i: delta ${res.delta(i)} < Ex-DPC's ${ex.delta(i)}")
+    }
+    assert(picked.count(i => res.depId(i) < 0) === 1)
+    // The fallback answers every root exactly over the picked set.
+    roots.foreach { pi =>
+      val denser = picked.filter(j => rhoB(j) > rhoB(pi))
+      if (denser.isEmpty) assert(res.depId(pi) === -1 && res.delta(pi).isInfinity)
+      else assert(res.delta(pi) === denser.map(j => pts.dist(pi, j)).min, s"root $pi")
+    }
+  }
+
   test("phase-1 deltas are (1+eps)*dcut; phase-2 deltas are real distances") {
     val pts = TestUtil.clusteredPts(800, 2, k = 3, sigma = 25.0, domain = 1000.0, seed = 780)
     val eps = 0.7
