@@ -30,8 +30,10 @@ object ExDPC extends DPCAlgorithm {
     val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
       val p = bcPts.value
       val t = bcTree.value
+      val q = new Array[Double](p.d)
       idxs.iterator.map { i =>
-        val cnt = t.rangeCount(p.point(i), params.dcut) - 1 // exclude the point itself
+        System.arraycopy(p.data, i * p.d, q, 0, p.d)
+        val cnt = t.rangeCount(q, params.dcut) - 1 // exclude the point itself
         (i, cnt + Jitter.frac(i))
       }
     }
@@ -46,13 +48,15 @@ object ExDPC extends DPCAlgorithm {
     val inc   = new KdTree(pts)
     val depId = new Array[Int](n)
     val delta = new Array[Double](n)
+    val q     = new Array[Double](pts.d)
     var r = 0
     while (r < n) {
       val i = order(r)
       if (r == 0) { depId(i) = -1; delta(i) = Double.PositiveInfinity }
       else {
-        val (q, dd) = inc.nearest(pts.point(i))
-        depId(i) = q
+        System.arraycopy(pts.data, i * pts.d, q, 0, pts.d)
+        val (j, dd) = inc.nearest(q)
+        depId(i) = j
         delta(i) = dd
       }
       inc.insert(i)

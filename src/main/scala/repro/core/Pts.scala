@@ -62,7 +62,11 @@ object Pts {
         (0 until d).map(j => StructField(s"x$j", DoubleType, nullable = false))
     )
 
-  /** Collect a point DataFrame `(id, x0..x{d-1})` into a [[Pts]], ordered by id. */
+  /** Collect a point DataFrame `(id, x0..x{d-1})` into a [[Pts]], ordered by id.
+    *
+    * Rejects, with an `IllegalArgumentException`, a null id or coordinate, a
+    * NaN or infinite coordinate, and a duplicate id.
+    */
   def fromDF(df: DataFrame): Pts = {
     val xCols = df.columns.filter(_.matches("x\\d+")).sortBy(_.drop(1).toInt)
     val d     = xCols.length
@@ -74,9 +78,17 @@ object Pts {
     var i = 0
     while (i < n) {
       val r = rows(i)
+      require(!r.isNullAt(0), "point with a null id")
       ids(i) = r.getLong(0)
+      require(i == 0 || ids(i) != ids(i - 1), s"duplicate point id ${ids(i)}")
       var j = 0
-      while (j < d) { data(i * d + j) = r.getDouble(j + 1); j += 1 }
+      while (j < d) {
+        require(!r.isNullAt(j + 1), s"point id ${ids(i)}: coordinate x$j is null")
+        val x = r.getDouble(j + 1)
+        require(!x.isNaN && !x.isInfinite, s"point id ${ids(i)}: coordinate x$j = $x is not finite")
+        data(i * d + j) = x
+        j += 1
+      }
       i += 1
     }
     new Pts(n, d, data, ids)

@@ -48,7 +48,15 @@ object Grid {
     val keysBuf = mutable.ArrayBuffer.empty[Array[Int]]
     var i = 0
     while (i < pts.n) {
-      val key     = Array.tabulate(pts.d)(j => math.floor(pts.coord(i, j) / side).toInt)
+      val key = Array.tabulate(pts.d) { j =>
+        val x = pts.coord(i, j)
+        val k = math.floor(x / side)
+        // toInt would saturate, silently merging far-apart cells.
+        require(k >= Int.MinValue && k <= Int.MaxValue,
+          s"grid cell side $side is too small for coordinate $x (point $i, axis $j): " +
+            s"floor(x / side) = $k is outside the Int range")
+        k.toInt
+      }
       val wrapped = ArraySeq.unsafeWrapArray(key)
       val c = index.getOrElseUpdate(wrapped, {
         members += new mutable.ArrayBuilder.ofInt

@@ -38,7 +38,14 @@ class ExactAlgosSpec extends SparkSpec {
       checkAgainstBrute(ScanDPC.run(spark, pts, DPCParams(dcut)), pts, dcut, "Scan")
     }
     test(s"Ex-DPC matches brute force ($tag)") {
-      checkAgainstBrute(ExDPC.run(spark, pts, DPCParams(dcut)), pts, dcut, "Ex-DPC")
+      val res = ExDPC.run(spark, pts, DPCParams(dcut))
+      checkAgainstBrute(res, pts, dcut, "Ex-DPC")
+      // The kd-tree sums the same squared differences as brute force, so
+      // Ex-DPC's delta is bit-identical, not just close.
+      val (_, deltaB) = TestUtil.bruteDependents(pts, res.rho)
+      (0 until pts.n).foreach { i =>
+        assert(java.lang.Double.compare(res.delta(i), deltaB(i)) == 0, s"Ex-DPC: delta($i) ${res.delta(i)} != ${deltaB(i)}")
+      }
     }
     test(s"R-tree + Scan matches brute force ($tag)") {
       checkAgainstBrute(RTreeScanDPC.run(spark, pts, DPCParams(dcut)), pts, dcut, "R-tree + Scan")
@@ -76,6 +83,15 @@ class ExactAlgosSpec extends SparkSpec {
     val rd  = ExDPC.run(spark, dup, DPCParams(dcut = 1.0))
     assert(rd.delta.count(_.isInfinity) === 1)
     assert(rd.delta.count(_ == 0.0) === 4)
+  }
+
+  test("Ex-DPC: 20k identical points (one deep kd-tree chain) give one root and zero deltas") {
+    val n   = 20000
+    val pts = Pts.fromArrays(2, Seq.fill(n)(Array(5.0, -7.0)))
+    val r   = ExDPC.run(spark, pts, DPCParams(dcut = 1.0))
+    assert(r.delta.count(_.isInfinity) === 1)
+    assert(r.depId.count(_ == -1) === 1)
+    assert(r.delta.count(_ == 0.0) === n - 1)
   }
 
   test("Scan and Ex-DPC report non-negative phase times and Ex-DPC memory") {

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{SparkSpec, TestUtil}
 
@@ -43,6 +45,33 @@ class PtsSpec extends SparkSpec {
     import spark.implicits._
     val df = Seq((1L, "a")).toDF("id", "name")
     intercept[IllegalArgumentException](Pts.fromDF(df))
+  }
+
+  /** Pts.fromDF on rows `(id, x0, x1)` with nullable coordinates must throw
+    * an IllegalArgumentException whose message contains `fragment`.
+    */
+  private def rejects(rows: Seq[Row], fragment: String): Unit = {
+    val schema = StructType(Seq(
+      StructField("id", LongType, nullable = false),
+      StructField("x0", DoubleType, nullable = true),
+      StructField("x1", DoubleType, nullable = true)))
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(rows), schema)
+    val e  = intercept[IllegalArgumentException](Pts.fromDF(df))
+    assert(e.getMessage.contains(fragment), e.getMessage)
+  }
+
+  test("fromDF rejects NaN and infinite coordinates") {
+    rejects(Seq(Row(0L, 1.0, 2.0), Row(1L, Double.NaN, 2.0)), "id 1: coordinate x0 = NaN is not finite")
+    rejects(Seq(Row(0L, 1.0, Double.PositiveInfinity)), "id 0: coordinate x1 = Infinity is not finite")
+    rejects(Seq(Row(0L, Double.NegativeInfinity, 1.0)), "id 0: coordinate x0 = -Infinity is not finite")
+  }
+
+  test("fromDF rejects null coordinates") {
+    rejects(Seq(Row(0L, 1.0, 2.0), Row(5L, 3.0, null)), "id 5: coordinate x1 is null")
+  }
+
+  test("fromDF rejects duplicate ids") {
+    rejects(Seq(Row(3L, 1.0, 2.0), Row(1L, 0.0, 0.0), Row(3L, 5.0, 6.0)), "duplicate point id 3")
   }
 
   test("mismatched lengths rejected") {

@@ -73,6 +73,13 @@ class GridSpec extends AnyFunSuite {
     }
   }
 
+  test("cell keys outside the Int range fail loudly instead of saturating") {
+    // d_cut = 1e-6 in 1-d gives side 1e-6, and 1e4 / 1e-6 = 1e10 > Int.MaxValue.
+    val pts = Pts.fromArrays(1, Seq(Array(0.0), Array(1e4)))
+    val e   = intercept[IllegalArgumentException](new Grid(pts, side = 1e-6))
+    assert(e.getMessage.contains("side 1.0E-6") && e.getMessage.contains("coordinate 10000.0"), e.getMessage)
+  }
+
   test("negative coordinates are binned correctly") {
     val pts  = Pts.fromArrays(1, Seq(Array(-0.5), Array(0.5), Array(-3.5)))
     val grid = new Grid(pts, side = 1.0)

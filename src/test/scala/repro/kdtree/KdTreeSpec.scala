@@ -103,10 +103,73 @@ class KdTreeSpec extends AnyFunSuite {
     assert(tree.rangeSearch(Array(3.0, 4.0), 0.0).length === 20)
   }
 
+  /** Inserts `order` one by one, then checks every search against brute force
+    * on `queries`: `nearest`'s distance bit for bit, range results exactly.
+    */
+  private def checkDeepTree(pts: Pts, order: Seq[Int], queries: Seq[Array[Double]], radii: Seq[Double]): Unit = {
+    val tree = new KdTree(pts)
+    order.foreach(tree.insert)
+    assert(tree.size === order.length)
+    for (q <- queries) {
+      val (gid, gd) = tree.nearest(q)
+      val (_, bd)   = TestUtil.bruteNearest(pts, order, q)
+      assert(java.lang.Double.compare(gd, bd) == 0, s"nearest: got ($gid, $gd), want distance $bd")
+      assert(java.lang.Double.compare(math.sqrt(pts.dist2To(gid, q)), bd) == 0)
+      for (r <- radii) {
+        assert(tree.rangeCount(q, r) === TestUtil.bruteRangeCount(pts, q, r))
+        val exp = order.filter(i => pts.dist2To(i, q) <= r * r)
+        assert(tree.rangeSearch(q, r).sorted.toSeq === exp.sorted)
+      }
+    }
+  }
+
+  test("deep tree: 50k identical points inserted one by one") {
+    val n   = 50000
+    val pts = Pts.fromArrays(2, Seq.fill(n)(Array(3.0, 4.0)))
+    val queries = Seq(Array(3.0, 4.0), Array(3.5, 4.0), Array(-100.0, 250.0))
+    checkDeepTree(pts, 0 until n, queries, radii = Seq(0.0, 0.5, 1.0, 1e6))
+  }
+
+  test("deep tree: 20k points inserted in increasing x form one spine") {
+    val n   = 20000
+    val pts = Pts.fromArrays(2, Seq.tabulate(n)(i => Array(i * 0.5, i * 0.25)))
+    val rnd = new Random(21)
+    val queries = Seq(Array(-5.0, -5.0), Array(1e5, 1e5)) ++
+      Seq.fill(8)(Array(rnd.nextDouble() * n * 0.5, rnd.nextDouble() * n * 0.25))
+    checkDeepTree(pts, 0 until n, queries, radii = Seq(0.3, 40.0, 1e6))
+  }
+
+  test("deep tree: a comb whose far children outgrow the initial search stack") {
+    // 1-d: spine nodes 0, 2, 4, ... each get the left leaf 2k - 1, so a search
+    // from the far right leaves one far child pending per level.
+    val half  = 10000
+    val pts   = Pts.fromArrays(1, (0 until half).flatMap(k => Seq(Array(2.0 * k), Array(2.0 * k - 1))))
+    val queries = Seq(Array(1e9), Array(-1e9), Array(7777.7))
+    checkDeepTree(pts, 0 until 2 * half, queries, radii = Seq(1.5, 1e4, 1e10))
+  }
+
+  test("nearest breaks distance ties by visit order: the near child before the far one") {
+    // Root (0, 10) splits on x; q = (0, 0) has diff 0, so its near side is the
+    // right child. Both children are at distance 1; Ex-DPC's depId relies on
+    // the right one (id 2) being returned.
+    val pts  = Pts.fromArrays(2, Seq(Array(0.0, 10.0), Array(-1.0, 0.0), Array(1.0, 0.0)))
+    val tree = new KdTree(pts)
+    (0 until 3).foreach(tree.insert)
+    assert(tree.nearest(Array(0.0, 0.0)) === ((2, 1.0)))
+  }
+
   test("memBytes grows with size") {
     val pts = TestUtil.uniformPts(500, 2, 10.0, seed = 8)
     val t1  = new KdTree(pts).buildFrom((0 until 100).toArray)
     val t2  = new KdTree(pts).buildAll()
     assert(t2.memBytes > t1.memBytes)
+  }
+
+  test("memBytes models four ints and d doubles per node") {
+    val pts = TestUtil.uniformPts(500, 3, 10.0, seed = 9)
+    assert(new KdTree(pts).buildAll().memBytes === 500L * 40L)
+    val inc = new KdTree(pts)
+    (0 until 37).foreach(inc.insert)
+    assert(inc.memBytes === 37L * 40L)
   }
 }
