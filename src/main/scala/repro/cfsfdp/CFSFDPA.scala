@@ -63,7 +63,6 @@ object CFSFDPA extends DPCAlgorithm {
     val bcSM  = sc.broadcast(sortedMembers)
     val bcSD  = sc.broadcast(sortedDists)
 
-    import spark.implicits._
     val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
       val p  = bcPts.value
       val pd = bcPD.value

@@ -7,7 +7,7 @@ import repro.kdtree.KdTree
 /** Per-cell output of Approx-DPC's parallel density phase. `rhos` is aligned
   * with the grid's member order of the cell.
   */
-final case class CellDensity(cell: Int, rhos: Seq[Double], pstar: Int, minRho: Double, nbrs: Seq[Int])
+final case class CellDensity(cell: Int, rhos: Array[Double], pstar: Int, minRho: Double, nbrs: Array[Int])
 
 /** Approx-DPC (§4).
   *
@@ -44,7 +44,6 @@ object ApproxDPC extends DPCAlgorithm {
     val bcTree = sc.broadcast(tree)
     val bcGrid = sc.broadcast(grid)
 
-    import spark.implicits._
     val costs = grid.cells.map(_.length.toDouble)
     val cellOut = Par.mapBalanced[CellDensity](spark, costs, sc.defaultParallelism) { cellIdxs =>
       val p = bcPts.value
@@ -99,7 +98,7 @@ object ApproxDPC extends DPCAlgorithm {
         val it = nbrs.iterator()
         var z = 0
         while (it.hasNext) { nb(z) = it.next().intValue(); z += 1 }
-        CellDensity(c, rhos.toIndexedSeq, pstar, minRho, nb.toIndexedSeq)
+        CellDensity(c, rhos, pstar, minRho, nb)
       }
     }
 
@@ -113,7 +112,7 @@ object ApproxDPC extends DPCAlgorithm {
       while (k < members.length) { rho(members(k)) = co.rhos(k); k += 1 }
       pstar(co.cell) = co.pstar
       minRhoC(co.cell) = co.minRho
-      nbrsC(co.cell) = co.nbrs.toArray
+      nbrsC(co.cell) = co.nbrs
     }
     bcTree.destroy()
     val t1 = System.nanoTime()

@@ -46,6 +46,7 @@ final case class DPCParams(
 ) {
   require(dcut > 0, "dcut must be positive")
   require(epsilon > 0, "epsilon must be positive")
+  require(deltaMin > dcut, s"deltaMin ($deltaMin) must exceed dcut ($dcut) (Definition 5)")
 
   def resolvedSlices(spark: SparkSession): Int =
     if (slices > 0) slices else spark.sparkContext.defaultParallelism

@@ -23,7 +23,6 @@ object ScanDependents {
     val bcOrder = sc.broadcast(order)
     val bcRank  = sc.broadcast(rank)
 
-    import spark.implicits._
     // Cost of point i is its rank (prefix length scanned) — LPT-balance it.
     val costs = Array.tabulate(n)(i => math.max(1.0, rank(i).toDouble))
     val out = Par.mapBalanced[(Int, Int, Double)](spark, costs, spark.sparkContext.defaultParallelism) { idxs =>
@@ -101,7 +100,6 @@ object ExactDependents {
     val bcTree = sc.broadcast(tree)
     val bcQ    = sc.broadcast((qx, qRho))
 
-    import spark.implicits._
     // A query costs microseconds, so one group per core: more tasks would
     // only add Spark's per-task overhead.
     val out = Par.mapIndexed[(Int, Int, Double)](spark, queries.length, oversub = 1) { qis =>

@@ -1,12 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.{Encoder, SparkSession}
+import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
 /** Parallel-loop substrate: Spark tasks play the role of OpenMP threads.
   *
-  * Two scheduling modes mirror the paper:
+  * Every call builds groups of item indices and runs them as one RDD stage
+  * with one partition, hence one Spark task, per group. Three scheduling
+  * modes mirror the paper:
   *
   *  - [[mapBalanced]] — the cost-based partitioning of §4.5: work units are
   *    packed into `buckets` groups with Graham's LPT greedy (3/2-approx of
@@ -40,7 +42,7 @@ object Par {
   /** LPT-balanced parallel map: each of the `buckets` index groups is processed
     * by one Spark task via `f`; all results are collected to the driver.
     */
-  def mapBalanced[T: Encoder: ClassTag](spark: SparkSession, costs: Array[Double], buckets: Int)(
+  def mapBalanced[T: ClassTag](spark: SparkSession, costs: Array[Double], buckets: Int)(
       f: Array[Int] => Iterator[T]
   ): Array[T] = {
     if (costs.isEmpty) return Array.empty[T]
@@ -51,7 +53,7 @@ object Par {
   /** Dynamic-scheduling analogue: `n` unit-cost items, `oversub` partitions per
     * core so stragglers are absorbed by the scheduler.
     */
-  def mapIndexed[T: Encoder: ClassTag](spark: SparkSession, n: Int, oversub: Int = 4)(
+  def mapIndexed[T: ClassTag](spark: SparkSession, n: Int, oversub: Int = 4)(
       f: Array[Int] => Iterator[T]
   ): Array[T] = {
     if (n == 0) return Array.empty[T]
@@ -61,7 +63,7 @@ object Par {
   }
 
   /** Static contiguous ranges (no load balancing) — LSH-DDP's partitioning. */
-  def mapStatic[T: Encoder: ClassTag](spark: SparkSession, n: Int, parts: Int)(
+  def mapStatic[T: ClassTag](spark: SparkSession, n: Int, parts: Int)(
       f: Array[Int] => Iterator[T]
   ): Array[T] = {
     if (n == 0) return Array.empty[T]
@@ -78,12 +80,11 @@ object Par {
     groups.map(_.result()).filter(_.nonEmpty)
   }
 
-  private def runGroups[T: Encoder: ClassTag](spark: SparkSession, groups: Array[Array[Int]])(
+  /** One RDD stage with exactly one partition, hence one Spark task, per
+    * group, and no shuffle. Results come back in group order.
+    */
+  private def runGroups[T: ClassTag](spark: SparkSession, groups: Array[Array[Int]])(
       f: Array[Int] => Iterator[T]
-  ): Array[T] = {
-    import spark.implicits._
-    val ds = spark.createDataset(groups.map(_.toSeq).toIndexedSeq)
-    // One row per group; repartition round-robins rows so each task gets ~one group.
-    ds.repartition(groups.length).flatMap(g => f(g.toArray)).collect()
-  }
+  ): Array[T] =
+    spark.sparkContext.parallelize(groups.toSeq, groups.length).flatMap(f).collect()
 }

@@ -64,8 +64,8 @@ object Pts {
 
   /** Collect a point DataFrame `(id, x0..x{d-1})` into a [[Pts]], ordered by id.
     *
-    * Rejects, with an `IllegalArgumentException`, a null id or coordinate, a
-    * NaN or infinite coordinate, and a duplicate id.
+    * Rejects, with an `IllegalArgumentException`, a frame with no rows, a null
+    * id or coordinate, a NaN or infinite coordinate, and a duplicate id.
     */
   def fromDF(df: DataFrame): Pts = {
     val xCols = df.columns.filter(_.matches("x\\d+")).sortBy(_.drop(1).toInt)
@@ -73,6 +73,7 @@ object Pts {
     require(d > 0, s"no coordinate columns x0.. in ${df.columns.mkString(",")}")
     val rows = df.select("id", xCols.toIndexedSeq: _*).orderBy("id").collect()
     val n    = rows.length
+    require(n > 0, "point DataFrame has no points")
     val data = new Array[Double](n * d)
     val ids  = new Array[Long](n)
     var i = 0

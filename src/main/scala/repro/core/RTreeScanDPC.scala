@@ -17,7 +17,6 @@ object RTreeScanDPC extends DPCAlgorithm {
     val tree = new RTree(pts).buildAll()
     val bcPts  = spark.sparkContext.broadcast(pts)
     val bcTree = spark.sparkContext.broadcast(tree)
-    import spark.implicits._
     val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
       val p = bcPts.value
       val t = bcTree.value

@@ -5,7 +5,7 @@ import repro.grid.Grid
 import repro.kdtree.KdTree
 
 /** Per-cell output of S-Approx-DPC's parallel density phase. */
-final case class PickedDensity(cell: Int, rho: Double, nbrs: Seq[Int])
+final case class PickedDensity(cell: Int, rho: Double, nbrs: Array[Int])
 
 /** S-Approx-DPC (§5): grid sampling + cell-based clustering.
   *
@@ -43,7 +43,6 @@ object SApproxDPC extends DPCAlgorithm {
     val bcGrid = sc.broadcast(grid)
     val bcPick = sc.broadcast(picked)
 
-    import spark.implicits._
     val costs = grid.cells.map(_.length.toDouble)
     val out = Par.mapBalanced[PickedDensity](spark, costs, sc.defaultParallelism) { cellIdxs =>
       val p  = bcPts.value
@@ -69,7 +68,7 @@ object SApproxDPC extends DPCAlgorithm {
         val it = nbrs.iterator()
         var z = 0
         while (it.hasNext) { nb(z) = it.next().intValue(); z += 1 }
-        PickedDensity(c, cnt + Jitter.frac(pi), nb.toIndexedSeq)
+        PickedDensity(c, cnt + Jitter.frac(pi), nb)
       }
     }
 
@@ -77,7 +76,7 @@ object SApproxDPC extends DPCAlgorithm {
     val nbrsC = new Array[Array[Int]](grid.nCells)
     out.foreach { pd =>
       rho(picked(pd.cell)) = pd.rho
-      nbrsC(pd.cell) = pd.nbrs.toArray
+      nbrsC(pd.cell) = pd.nbrs
     }
     bcTree.destroy()
     val t1 = System.nanoTime()

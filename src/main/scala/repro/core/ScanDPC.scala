@@ -15,7 +15,6 @@ object ScanDPC extends DPCAlgorithm {
 
     val t0    = System.nanoTime()
     val bcPts = spark.sparkContext.broadcast(pts)
-    import spark.implicits._
     val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
       val p = bcPts.value
       idxs.iterator.map { i =>

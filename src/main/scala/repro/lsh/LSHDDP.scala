@@ -76,7 +76,6 @@ object LSHDDP extends DPCAlgorithm {
       java.util.Arrays.copyOf(all, w)
     }
 
-    import spark.implicits._
     val rhoOut = Par.mapStatic[(Int, Double)](spark, n, parts) { idxs =>
       val p = bcPts.value
       val bkt = bcBkt.value

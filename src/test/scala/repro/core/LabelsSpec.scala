@@ -85,6 +85,14 @@ class LabelsSpec extends AnyFunSuite {
     assert(dm > 10.0)
   }
 
+  test("DPCParams rejects deltaMin <= dcut (Definition 5)") {
+    Seq(10.0, 2.5, 0.0).foreach { dm =>
+      val e = intercept[IllegalArgumentException](DPCParams(dcut = 10.0, deltaMin = dm))
+      assert(e.getMessage.contains(s"deltaMin ($dm)") && e.getMessage.contains("dcut (10.0)"), e.getMessage)
+    }
+    assert(DPCParams(dcut = 10.0, deltaMin = math.nextUp(10.0)).deltaMin > 10.0)
+  }
+
   test("Rand index: identical labelings score 1") {
     val a = Array(0, 0, 1, 1, 2, -1)
     assert(RandIndex.of(a, a) === 1.0)

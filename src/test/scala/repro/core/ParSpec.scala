@@ -1,7 +1,9 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import org.apache.spark.TaskContext
+import org.apache.spark.scheduler._
 import repro.SparkSpec
+import scala.collection.mutable
 import scala.util.Random
 
 /** LPT scheduling + Spark fan-out semantics. */
@@ -37,7 +39,6 @@ class ParSpec extends SparkSpec {
   }
 
   test("mapBalanced computes every item once") {
-    import spark.implicits._
     val costs = Array.tabulate(500)(i => (i % 7 + 1).toDouble)
     val out = Par.mapBalanced[(Int, Int)](spark, costs, 8)(idxs => idxs.iterator.map(i => (i, i * i)))
     assert(out.length === 500)
@@ -45,13 +46,11 @@ class ParSpec extends SparkSpec {
   }
 
   test("mapIndexed covers 0 until n") {
-    import spark.implicits._
     val out = Par.mapIndexed[Int](spark, 1000)(idxs => idxs.iterator.map(_ + 1))
     assert(out.sorted.toSeq === (1 to 1000))
   }
 
   test("mapStatic covers 0 until n in contiguous ranges") {
-    import spark.implicits._
     val out = Par.mapStatic[(Int, Int, Int, Int)](spark, 100, 7) { idxs =>
       idxs.iterator.map(i => (i, idxs.min, idxs.max, idxs.length))
     }
@@ -65,9 +64,91 @@ class ParSpec extends SparkSpec {
   }
 
   test("empty inputs yield empty outputs") {
-    import spark.implicits._
     assert(Par.mapBalanced[Int](spark, Array.empty[Double], 4)(_.iterator.map(identity)).isEmpty)
     assert(Par.mapIndexed[Int](spark, 0)(_.iterator.map(identity)).isEmpty)
     assert(Par.mapStatic[Int](spark, 0, 4)(_.iterator.map(identity)).isEmpty)
+  }
+
+  /** Emits `(task partition id, group)` once per group it is called on. */
+  private val taskOfGroup: Array[Int] => Iterator[(Int, Seq[Int])] =
+    idxs => Iterator.single((TaskContext.getPartitionId(), idxs.toSeq))
+
+  /** Each group was handed to `f` once, by a task that saw no other group. */
+  private def assertOneTaskPerGroup(seen: Array[(Int, Seq[Int])], groups: Seq[Seq[Int]]): Unit = {
+    assert(seen.map(_._2.sorted).sortBy(_.head).toSeq === groups.map(_.sorted).sortBy(_.head))
+    val perTask = seen.groupBy(_._1).view.mapValues(_.length).toMap
+    assert(perTask.size === groups.length, s"${groups.length} groups ran in ${perTask.size} tasks")
+    assert(perTask.values.forall(_ == 1), s"groups per task: $perTask")
+  }
+
+  test("mapBalanced runs each LPT group in its own task") {
+    val b     = spark.sparkContext.defaultParallelism
+    val costs = Array.fill(400)(1.0)
+    val seen  = Par.mapBalanced(spark, costs, b)(taskOfGroup)
+    assertOneTaskPerGroup(seen, Par.lpt(costs, b).map(_.toSeq).toSeq)
+  }
+
+  test("mapIndexed runs each round-robin group in its own task") {
+    val n     = 1000
+    val parts = spark.sparkContext.defaultParallelism * 4
+    val seen  = Par.mapIndexed(spark, n)(taskOfGroup)
+    assertOneTaskPerGroup(seen, (0 until parts).map(g => g until n by parts))
+  }
+
+  test("mapStatic runs each contiguous range in its own task") {
+    val seen = Par.mapStatic(spark, 100, 7)(taskOfGroup)
+    assertOneTaskPerGroup(seen, (0 until 100).grouped(15).toSeq)
+    seen.foreach { case (_, g) => assert(g === (g.head to g.last), s"task saw a non-contiguous range $g") }
+  }
+
+  test("one Par call runs one job of one stage and writes no shuffle bytes") {
+    val sc = spark.sparkContext
+    val group = "ParSpec-one-stage"
+    val marker = "ParSpec-marker"
+    val jobs = mutable.Set.empty[Int]
+    val markerJobs = mutable.Set.empty[Int]
+    val stages = mutable.Set.empty[Int]
+    val completed = mutable.Set.empty[Int]
+    var shuffleBytes = 0L
+    val markerDone = new java.util.concurrent.CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")) match {
+          case Some(`group`) => jobs += e.jobId; stages ++= e.stageIds
+          case Some(`marker`) => markerJobs += e.jobId
+          case _ => ()
+        }
+      }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = synchronized {
+        if (stages.contains(e.stageInfo.stageId)) completed += e.stageInfo.stageId
+      }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+        if (stages.contains(e.stageId) && e.taskMetrics != null)
+          shuffleBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten
+      }
+      override def onJobEnd(e: SparkListenerJobEnd): Unit = synchronized {
+        if (markerJobs.contains(e.jobId)) markerDone.countDown()
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "one Par call")
+      val out = Par.mapBalanced[(Int, Double)](spark, Array.tabulate(400)(i => (i % 5 + 1).toDouble), sc.defaultParallelism) { idxs =>
+        idxs.iterator.map(i => (i, i * 0.5))
+      }
+      assert(out.length === 400)
+      // Listener events arrive in order, so once a later job has ended every
+      // event of the Par call has been delivered.
+      sc.setJobGroup(marker, "listener bus marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(markerDone.await(30, java.util.concurrent.TimeUnit.SECONDS), "listener bus did not drain")
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+    listener.synchronized {
+      assert((jobs.size, completed.size, shuffleBytes) === ((1, 1, 0L)),
+        s"(jobs, stages, shuffle bytes): jobs $jobs, stages $completed")
+    }
   }
 }

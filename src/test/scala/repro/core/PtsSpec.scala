@@ -70,6 +70,12 @@ class PtsSpec extends SparkSpec {
     rejects(Seq(Row(0L, 1.0, 2.0), Row(5L, 3.0, null)), "id 5: coordinate x1 is null")
   }
 
+  test("fromDF rejects a frame with no points") {
+    val df = spark.createDataFrame(spark.sparkContext.emptyRDD[Row], Pts.schema(2))
+    val e  = intercept[IllegalArgumentException](Pts.fromDF(df))
+    assert(e.getMessage.contains("no points"), e.getMessage)
+  }
+
   test("fromDF rejects duplicate ids") {
     rejects(Seq(Row(3L, 1.0, 2.0), Row(1L, 0.0, 0.0), Row(3L, 5.0, 6.0)), "duplicate point id 3")
   }
