@@ -2,12 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.grid.Grid
-import repro.kdtree.KdTree
-
-/** Per-cell output of Approx-DPC's parallel density phase. `rhos` is aligned
-  * with the grid's member order of the cell.
-  */
-final case class CellDensity(cell: Int, rhos: Array[Double], pstar: Int, minRho: Double, nbrs: Array[Int])
+import repro.kdtree.MaxRhoKdTree
+import scala.collection.mutable
 
 /** Approx-DPC (§4).
   *
@@ -26,6 +22,10 @@ final case class CellDensity(cell: Int, rhos: Array[Double], pstar: Int, minRho:
   * (the "stem" of the cluster trees) get their *exact* dependent point via
   * [[ExactDependents]] — which is what makes Theorem 4 (identical cluster
   * centers to Ex-DPC) hold.
+  *
+  * Both phases query one static [[MaxRhoKdTree]], built and broadcast once;
+  * the dependent phase broadcasts only the densities it attaches. Each
+  * density task returns one flat [[CellBlock]] for its group of cells.
   */
 object ApproxDPC extends DPCAlgorithm {
   override val name = "Approx-DPC"
@@ -36,7 +36,7 @@ object ApproxDPC extends DPCAlgorithm {
     val dcut2 = dcut * dcut
 
     val t0   = System.nanoTime()
-    val tree = new KdTree(pts).buildAll()
+    val tree = MaxRhoKdTree.build(pts, Array.range(0, n))
     val grid = new Grid(pts, dcut / math.sqrt(pts.d.toDouble))
 
     val sc     = spark.sparkContext
@@ -44,77 +44,79 @@ object ApproxDPC extends DPCAlgorithm {
     val bcTree = sc.broadcast(tree)
     val bcGrid = sc.broadcast(grid)
 
-    val costs = grid.cells.map(_.length.toDouble)
-    val cellOut = Par.mapBalanced[CellDensity](spark, costs, sc.defaultParallelism) { cellIdxs =>
-      val p = bcPts.value
-      val t = bcTree.value
-      val g = bcGrid.value
-      cellIdxs.iterator.map { c =>
-        val members = g.cells(c)
-        // Singleton cell: B(p,dcut) needs no enclosing ball — query the point
-        // itself (same result set, much smaller radius in high dimensions).
-        val (q, radius) =
-          if (members.length == 1) (p.point(members(0)), dcut)
-          else {
-            val cp   = g.center(c)
-            var rmax = 0.0
-            members.foreach { i =>
-              val dd = math.sqrt(p.dist2To(i, cp))
-              if (dd > rmax) rmax = dd
-            }
-            (cp, dcut + rmax + 1e-9)
+    val groups = Par.lpt(Array.tabulate(grid.nCells)(grid.size(_).toDouble), sc.defaultParallelism)
+    val blocks = Par.mapGroups(spark, groups) { cellIdxs =>
+      val p      = bcPts.value
+      val t      = bcTree.value
+      val g      = bcGrid.value
+      val seen   = new Array[Int](g.nCells)
+      java.util.Arrays.fill(seen, -1)
+      val rhos   = new Array[Double](cellIdxs.iterator.map(g.size).sum)
+      val pstar  = new Array[Int](cellIdxs.length)
+      val minRho = new Array[Double](cellIdxs.length)
+      val nbrOff = new Array[Int](cellIdxs.length + 1)
+      val nbrs   = new mutable.ArrayBuilder.ofInt
+      var pos = 0
+      var k   = 0
+      while (k < cellIdxs.length) {
+        val c  = cellIdxs(k)
+        val lo = g.start(c)
+        val m  = g.size(c)
+        if (m == 1) {
+          // Singleton cell: B(p,dcut) needs no enclosing ball — query the point
+          // itself (same result set, much smaller radius in high dimensions).
+          val i = g.members(lo)
+          val r = t.rangeSearch(p.point(i), dcut)
+          val rho = CellPass.scan(p, g.cellOf, i, c, r, dcut2, seen, nbrs) + Jitter.frac(i)
+          rhos(pos) = rho; pstar(k) = i; minRho(k) = rho
+        } else {
+          val cp   = g.center(c)
+          var rmax = 0.0
+          var s = lo
+          while (s < lo + m) { rmax = math.max(rmax, math.sqrt(p.dist2To(g.members(s), cp))); s += 1 }
+          val r = t.rangeSearch(cp, dcut + rmax + 1e-9)
+          // exact density of every member by scanning the joint result
+          var star    = -1
+          var starRho = Double.NegativeInfinity
+          var min     = Double.PositiveInfinity
+          s = lo
+          while (s < lo + m) {
+            val i   = g.members(s)
+            val rho = CellPass.scan(p, g.cellOf, i, c, r, dcut2, seen, null) + Jitter.frac(i)
+            rhos(pos + s - lo) = rho
+            if (rho > starRho) { starRho = rho; star = i }
+            if (rho < min) min = rho
+            s += 1
           }
-        val r = t.rangeSearch(q, radius)
-        // exact density of every member by scanning the joint result
-        val rhos  = new Array[Double](members.length)
-        var starK = 0
-        var starRho = Double.NegativeInfinity
-        var minRho  = Double.PositiveInfinity
-        var k = 0
-        while (k < members.length) {
-          val i = members(k)
-          var cnt = 0
-          var u = 0
-          while (u < r.length) {
-            val q = r(u)
-            if (q != i && p.dist2(i, q) < dcut2) cnt += 1
-            u += 1
-          }
-          val rho = cnt + Jitter.frac(i)
-          rhos(k) = rho
-          if (rho > starRho) { starRho = rho; starK = k }
-          if (rho < minRho) minRho = rho
-          k += 1
+          CellPass.scan(p, g.cellOf, star, c, r, dcut2, seen, nbrs)
+          pstar(k) = star; minRho(k) = min
         }
-        val pstar = members(starK)
-        val nbrs  = new java.util.HashSet[Integer]()
-        var u = 0
-        while (u < r.length) {
-          val q = r(u)
-          if (g.cellOf(q) != c && p.dist2(pstar, q) < dcut2) nbrs.add(g.cellOf(q))
-          u += 1
-        }
-        val nb = new Array[Int](nbrs.size())
-        val it = nbrs.iterator()
-        var z = 0
-        while (it.hasNext) { nb(z) = it.next().intValue(); z += 1 }
-        CellDensity(c, rhos, pstar, minRho, nb)
+        pos += m
+        nbrOff(k + 1) = nbrs.length
+        k += 1
       }
+      new CellBlock(rhos, pstar, minRho, nbrOff, nbrs.result())
     }
 
     val rho     = new Array[Double](n)
     val pstar   = new Array[Int](grid.nCells)
     val minRhoC = new Array[Double](grid.nCells)
-    val nbrsC   = new Array[Array[Int]](grid.nCells)
-    cellOut.foreach { co =>
-      val members = grid.cells(co.cell)
-      var k = 0
-      while (k < members.length) { rho(members(k)) = co.rhos(k); k += 1 }
-      pstar(co.cell) = co.pstar
-      minRhoC(co.cell) = co.minRho
-      nbrsC(co.cell) = co.nbrs
+    var g = 0
+    while (g < groups.length) {
+      val b   = blocks(g)
+      var pos = 0
+      var k   = 0
+      while (k < groups(g).length) {
+        val c = groups(g)(k)
+        var s = grid.start(c)
+        while (s < grid.start(c + 1)) { rho(grid.members(s)) = b.rhos(pos); pos += 1; s += 1 }
+        pstar(c) = b.pstar(k)
+        minRhoC(c) = b.minRho(k)
+        k += 1
+      }
+      g += 1
     }
-    bcTree.destroy()
+    val (nbrOff, nbrs) = CellPass.neighbours(grid.nCells, groups, blocks)
     val t1 = System.nanoTime()
 
     // --- Approximate dependent points (O(1) per point, driver loop is O(n)). ---
@@ -124,21 +126,19 @@ object ApproxDPC extends DPCAlgorithm {
     val undecided = new scala.collection.mutable.ArrayBuilder.ofInt
     var c = 0
     while (c < grid.nCells) {
-      val members = grid.cells(c)
-      val star    = pstar(c)
-      var k = 0
-      while (k < members.length) {
-        val i = members(k)
+      val star = pstar(c)
+      var s = grid.start(c)
+      while (s < grid.start(c + 1)) {
+        val i = grid.members(s)
         if (i != star) { depId(i) = star; delta(i) = dcut }
-        k += 1
+        s += 1
       }
       // p*(c): neighbour cell whose minimum density beats rho(p*)
       var chosen = -1
       var bestMin = Double.NegativeInfinity
-      val nbs = nbrsC(c)
-      var z = 0
-      while (z < nbs.length) {
-        val c2 = nbs(z)
+      var z = nbrOff(c)
+      while (z < nbrOff(c + 1)) {
+        val c2 = nbrs(z)
         if (minRhoC(c2) > rho(star) && minRhoC(c2) > bestMin) { bestMin = minRhoC(c2); chosen = c2 }
         z += 1
       }
@@ -149,14 +149,12 @@ object ApproxDPC extends DPCAlgorithm {
 
     // --- Exact dependent points for the undecided (stem) points. ---
     val pPrime = undecided.result()
-    val exact = ExactDependents.compute(spark, pts, rho, Array.tabulate(n)(identity), pPrime)
+    val exact = ExactDependents.compute(spark, bcTree, pts, rho, Array.range(0, n), pPrime)
     exact.foreach { case (q, dep, dd) => depId(q) = dep; delta(q) = dd }
     val t2 = System.nanoTime()
-    bcPts.destroy(); bcGrid.destroy()
+    bcPts.destroy(); bcTree.destroy(); bcGrid.destroy()
 
-    val mem = tree.memBytes + grid.memBytes +
-      nbrsC.iterator.map(a => if (a == null) 0L else 4L * a.length).sum +
-      ExactDependents.memBytes(n, pts.d)
+    val mem = MaxRhoKdTree.memBytes(n, pts.d) + grid.memBytes + 4L * (nbrOff.length + nbrs.length)
     new DPCResult(rho, depId, delta,
       PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), mem)
   }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.kdtree.MaxRhoKdTree
 
@@ -13,7 +14,7 @@ object ScanDependents {
   /** Returns `(depId, delta)`; the top-density point gets `(-1, +inf)`. */
   def compute(spark: SparkSession, pts: Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
     val n     = pts.n
-    val order = Array.tabulate(n)(identity).sortBy(i => -rho(i))
+    val order = Order.descending(rho)
     val rank  = new Array[Int](n)
     var r = 0
     while (r < n) { rank(order(r)) = r; r += 1 }
@@ -54,10 +55,10 @@ object ScanDependents {
 /** The exact dependent-point search of Approx-DPC (§4.3), also used by
   * S-Approx-DPC's fallback (universe = picked points).
   *
-  * One [[MaxRhoKdTree]] over the universe (a kd-tree whose nodes store their
-  * subtree's largest density) answers each query independently with a pruned
-  * nearest-neighbour search, so the queries fan out over [[Par]] with no
-  * per-query cost model. This replaces the paper's `s` density-sorted subset
+  * One [[MaxRhoKdTree]] (a kd-tree whose nodes store their subtree's largest
+  * density once densities are attached) answers each query independently with
+  * a pruned nearest-neighbour search, so the queries fan out over [[Par]] with
+  * no per-query cost model. This replaces the paper's `s` density-sorted subset
   * trees of Equation (2) and their `cost_dep` balancing; see DESIGN.md §3.
   */
 object ExactDependents {
@@ -87,32 +88,53 @@ object ExactDependents {
   ): Array[(Int, Int, Double)] = {
     if (universe.isEmpty || queries.isEmpty)
       return queries.map(q => (q, -1, Double.PositiveInfinity))
+    val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, universe))
+    try compute(spark, tree, pts, rho, universe, queries)
+    finally tree.destroy()
+  }
+
+  /** [[compute]] over an already broadcast tree that indexes at least the
+    * universe, such as the one a density phase searched: only the densities
+    * and the queries are broadcast.
+    */
+  def compute(
+      spark: SparkSession,
+      tree: Broadcast[MaxRhoKdTree],
+      pts: Pts,
+      rho: Array[Double],
+      universe: Array[Int],
+      queries: Array[Int]
+  ): Array[(Int, Int, Double)] = {
+    if (universe.isEmpty || queries.isEmpty)
+      return queries.map(q => (q, -1, Double.PositiveInfinity))
 
     val d    = pts.d
-    val tree = MaxRhoKdTree.build(pts, rho, universe)
-    // The tasks read only the tree and the queries' own coordinates and densities.
+    val dens = tree.value.densities(rho, universe)
+    // The tasks read only the tree, its densities and the queries' own
+    // coordinates and densities.
     val qx   = new Array[Double](queries.length * d)
     var k = 0
     while (k < queries.length) { System.arraycopy(pts.data, queries(k) * d, qx, k * d, d); k += 1 }
     val qRho = queries.map(rho)
 
     val sc     = spark.sparkContext
-    val bcTree = sc.broadcast(tree)
+    val bcDens = sc.broadcast(dens)
     val bcQ    = sc.broadcast((qx, qRho))
 
     // A query costs microseconds, so one group per core: more tasks would
     // only add Spark's per-task overhead.
     val out = Par.mapIndexed[(Int, Int, Double)](spark, queries.length, oversub = 1) { qis =>
-      val t        = bcTree.value
+      val t        = tree.value
+      val dn       = bcDens.value
       val (xs, rq) = bcQ.value
       val q        = new Array[Double](d)
       qis.iterator.map { qi =>
         System.arraycopy(xs, qi * d, q, 0, d)
-        val (dep, dist) = t.denserNearest(q, rq(qi))
+        val (dep, dist) = t.denserNearest(q, rq(qi), dn)
         (qi, dep, dist)
       }
     }
-    bcTree.destroy(); bcQ.destroy()
+    bcDens.destroy(); bcQ.destroy()
     out.map { case (qi, dep, dist) => (queries(qi), dep, dist) }
   }
 

@@ -43,7 +43,7 @@ object ExDPC extends DPCAlgorithm {
     val t1 = System.nanoTime()
 
     // Sequential incremental phase (driver = the single thread of §3).
-    val order = Array.tabulate(n)(identity).sortBy(i => -rho(i))
+    val order = Order.descending(rho)
     val inc   = new KdTree(pts)
     val depId = new Array[Int](n)
     val delta = new Array[Double](n)

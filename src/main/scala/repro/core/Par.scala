@@ -6,9 +6,9 @@ import scala.reflect.ClassTag
 
 /** Parallel-loop substrate: Spark tasks play the role of OpenMP threads.
   *
-  * Every call builds groups of item indices and runs them as one RDD stage
-  * with one partition, hence one Spark task, per group. Three scheduling
-  * modes mirror the paper:
+  * Every call builds groups of item indices and runs them through
+  * [[mapGroups]]: one RDD stage with one partition, hence one Spark task, per
+  * group. Three scheduling modes mirror the paper:
   *
   *  - [[mapBalanced]] — the cost-based partitioning of §4.5: work units are
   *    packed into `buckets` groups with Graham's LPT greedy (3/2-approx of
@@ -22,33 +22,42 @@ import scala.reflect.ClassTag
 object Par {
 
   /** Graham's LPT greedy: assign `costs.length` items to `buckets` groups,
-    * largest item first onto the least-loaded group. Returns the item indices
-    * of each group.
+    * largest item first (equal costs by ascending index) onto the least-loaded
+    * group (the lowest group index among equally loaded ones). Returns the
+    * item indices of each group, in the order they were assigned.
     */
   def lpt(costs: Array[Double], buckets: Int): Array[Array[Int]] = {
-    val b = math.max(1, math.min(buckets, math.max(1, costs.length)))
-    val order = Array.tabulate(costs.length)(identity).sortBy(i => -costs(i))
-    val loads = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by[(Double, Int), Double](_._1).reverse)
-    (0 until b).foreach(i => loads.enqueue((0.0, i)))
+    val b      = math.max(1, math.min(buckets, math.max(1, costs.length)))
+    val loads  = new Array[Double](b)
     val groups = Array.fill(b)(new mutable.ArrayBuilder.ofInt)
-    order.foreach { i =>
-      val (load, g) = loads.dequeue()
+    val order  = Order.descending(costs)
+    var r = 0
+    while (r < order.length) {
+      val i = order(r)
+      var g = 0
+      var k = 1
+      while (k < b) { if (loads(k) < loads(g)) g = k; k += 1 }
       groups(g) += i
-      loads.enqueue((load + math.max(costs(i), 1e-12), g))
+      loads(g) += math.max(costs(i), 1e-12)
+      r += 1
     }
     groups.map(_.result())
   }
+
+  /** Runs `f` once on each group, each group in its own Spark task of one
+    * RDD stage with no shuffle, and returns the results in group order.
+    */
+  def mapGroups[T: ClassTag](spark: SparkSession, groups: Array[Array[Int]])(f: Array[Int] => T): Array[T] =
+    if (groups.isEmpty) Array.empty[T]
+    else spark.sparkContext.parallelize(groups.toSeq, groups.length).map(f).collect()
 
   /** LPT-balanced parallel map: each of the `buckets` index groups is processed
     * by one Spark task via `f`; all results are collected to the driver.
     */
   def mapBalanced[T: ClassTag](spark: SparkSession, costs: Array[Double], buckets: Int)(
       f: Array[Int] => Iterator[T]
-  ): Array[T] = {
-    if (costs.isEmpty) return Array.empty[T]
-    val groups = lpt(costs, buckets)
-    runGroups(spark, groups)(f)
-  }
+  ): Array[T] =
+    flatMapGroups(spark, if (costs.isEmpty) Array.empty else lpt(costs, buckets))(f)
 
   /** Dynamic-scheduling analogue: `n` unit-cost items, `oversub` partitions per
     * core so stragglers are absorbed by the scheduler.
@@ -56,35 +65,23 @@ object Par {
   def mapIndexed[T: ClassTag](spark: SparkSession, n: Int, oversub: Int = 4)(
       f: Array[Int] => Iterator[T]
   ): Array[T] = {
-    if (n == 0) return Array.empty[T]
     val parts  = math.min(n, spark.sparkContext.defaultParallelism * oversub)
-    val groups = roundRobin(n, parts)
-    runGroups(spark, groups)(f)
+    val groups = Array.tabulate(parts)(g => Array.range(g, n, parts))
+    flatMapGroups(spark, groups)(f)
   }
 
   /** Static contiguous ranges (no load balancing) — LSH-DDP's partitioning. */
   def mapStatic[T: ClassTag](spark: SparkSession, n: Int, parts: Int)(
       f: Array[Int] => Iterator[T]
   ): Array[T] = {
-    if (n == 0) return Array.empty[T]
     val p      = math.max(1, math.min(parts, n))
     val step   = (n + p - 1) / p
-    val groups = (0 until p).map(g => ((g * step) until math.min(n, (g + 1) * step)).toArray).toArray
-    runGroups(spark, groups.filter(_.nonEmpty))(f)
+    val groups = Array.tabulate(p)(g => Array.range(g * step, math.min(n, (g + 1) * step)))
+    flatMapGroups(spark, groups.filter(_.nonEmpty))(f)
   }
 
-  private def roundRobin(n: Int, parts: Int): Array[Array[Int]] = {
-    val groups = Array.fill(parts)(new mutable.ArrayBuilder.ofInt)
-    var i = 0
-    while (i < n) { groups(i % parts) += i; i += 1 }
-    groups.map(_.result()).filter(_.nonEmpty)
-  }
-
-  /** One RDD stage with exactly one partition, hence one Spark task, per
-    * group, and no shuffle. Results come back in group order.
-    */
-  private def runGroups[T: ClassTag](spark: SparkSession, groups: Array[Array[Int]])(
+  private def flatMapGroups[T: ClassTag](spark: SparkSession, groups: Array[Array[Int]])(
       f: Array[Int] => Iterator[T]
   ): Array[T] =
-    spark.sparkContext.parallelize(groups.toSeq, groups.length).flatMap(f).collect()
+    mapGroups(spark, groups)(g => f(g).toArray).flatten
 }

@@ -2,10 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.grid.Grid
-import repro.kdtree.KdTree
-
-/** Per-cell output of S-Approx-DPC's parallel density phase. */
-final case class PickedDensity(cell: Int, rho: Double, nbrs: Array[Int])
+import repro.kdtree.MaxRhoKdTree
+import scala.collection.mutable
 
 /** S-Approx-DPC (§5): grid sampling + cell-based clustering.
   *
@@ -19,7 +17,9 @@ final case class PickedDensity(cell: Int, rho: Double, nbrs: Array[Int])
   * `(1+eps) * dcut`); the residual roots `P'_pick` form *temporal clusters*
   * whose radii prune candidates via the triangle inequality in phase 2. If
   * `|P'_pick|^2` exceeds O(n), the paper's fallback — Approx-DPC's exact
-  * dependent search over the picked set — kicks in.
+  * dependent search over the picked set — kicks in. It reuses the broadcast
+  * [[MaxRhoKdTree]] of the density phase, with densities attached for the
+  * picked points only.
   */
 object SApproxDPC extends DPCAlgorithm {
   override val name = "S-Approx-DPC"
@@ -31,54 +31,47 @@ object SApproxDPC extends DPCAlgorithm {
     val eps   = params.epsilon
 
     val t0   = System.nanoTime()
-    val tree = new KdTree(pts).buildAll()
+    val tree = MaxRhoKdTree.build(pts, Array.range(0, n))
     val grid = new Grid(pts, eps * dcut / math.sqrt(pts.d.toDouble))
 
-    // Deterministic pick: smallest point id per cell.
-    val picked = grid.cells.map(_.min)
+    // Deterministic pick: smallest point id per cell, its first member.
+    val picked = Array.tabulate(grid.nCells)(c => grid.members(grid.start(c)))
 
     val sc     = spark.sparkContext
     val bcPts  = sc.broadcast(pts)
     val bcTree = sc.broadcast(tree)
     val bcGrid = sc.broadcast(grid)
-    val bcPick = sc.broadcast(picked)
 
-    val costs = grid.cells.map(_.length.toDouble)
-    val out = Par.mapBalanced[PickedDensity](spark, costs, sc.defaultParallelism) { cellIdxs =>
-      val p  = bcPts.value
-      val t  = bcTree.value
-      val g  = bcGrid.value
-      val pk = bcPick.value
-      cellIdxs.iterator.map { c =>
-        val pi = pk(c)
-        val q  = p.point(pi)
-        val r  = t.rangeSearch(q, dcut) // inclusive superset; strict-filter below
-        var cnt = 0
-        val nbrs = new java.util.HashSet[Integer]()
-        var u = 0
-        while (u < r.length) {
-          val id = r(u)
-          if (id != pi && p.dist2(pi, id) < dcut2) {
-            cnt += 1
-            if (g.cellOf(id) != c) nbrs.add(g.cellOf(id))
-          }
-          u += 1
-        }
-        val nb = new Array[Int](nbrs.size())
-        val it = nbrs.iterator()
-        var z = 0
-        while (it.hasNext) { nb(z) = it.next().intValue(); z += 1 }
-        PickedDensity(c, cnt + Jitter.frac(pi), nb)
+    val groups = Par.lpt(Array.tabulate(grid.nCells)(grid.size(_).toDouble), sc.defaultParallelism)
+    val blocks = Par.mapGroups(spark, groups) { cellIdxs =>
+      val p      = bcPts.value
+      val t      = bcTree.value
+      val g      = bcGrid.value
+      val seen   = new Array[Int](g.nCells)
+      java.util.Arrays.fill(seen, -1)
+      val rhos   = new Array[Double](cellIdxs.length)
+      val nbrOff = new Array[Int](cellIdxs.length + 1)
+      val nbrs   = new mutable.ArrayBuilder.ofInt
+      var k = 0
+      while (k < cellIdxs.length) {
+        val c  = cellIdxs(k)
+        val pi = g.members(g.start(c))
+        val r  = t.rangeSearch(p.point(pi), dcut) // inclusive superset; the scan is strict
+        rhos(k) = CellPass.scan(p, g.cellOf, pi, c, r, dcut2, seen, nbrs) + Jitter.frac(pi)
+        nbrOff(k + 1) = nbrs.length
+        k += 1
       }
+      new CellBlock(rhos, Array.emptyIntArray, Array.emptyDoubleArray, nbrOff, nbrs.result())
     }
 
     val rho = Array.fill(n)(Double.NaN) // non-picked points carry no density
-    val nbrsC = new Array[Array[Int]](grid.nCells)
-    out.foreach { pd =>
-      rho(picked(pd.cell)) = pd.rho
-      nbrsC(pd.cell) = pd.nbrs
+    var g = 0
+    while (g < groups.length) {
+      var k = 0
+      while (k < groups(g).length) { rho(picked(groups(g)(k))) = blocks(g).rhos(k); k += 1 }
+      g += 1
     }
-    bcTree.destroy()
+    val (nbrOff, nbrs) = CellPass.neighbours(grid.nCells, groups, blocks)
     val t1 = System.nanoTime()
 
     // --- Dependent points. ---
@@ -90,8 +83,11 @@ object SApproxDPC extends DPCAlgorithm {
     var c = 0
     while (c < grid.nCells) {
       val pi = picked(c)
-      grid.cells(c).foreach { i =>
+      var s = grid.start(c)
+      while (s < grid.start(c + 1)) {
+        val i = grid.members(s)
         if (i != pi) { depId(i) = pi; delta(i) = eps * dcut }
+        s += 1
       }
       c += 1
     }
@@ -103,10 +99,9 @@ object SApproxDPC extends DPCAlgorithm {
       val pi = picked(c)
       var chosen = -1
       var chosenRho = Double.NegativeInfinity
-      val nbs = nbrsC(c)
-      var z = 0
-      while (z < nbs.length) {
-        val pj = picked(nbs(z))
+      var z = nbrOff(c)
+      while (z < nbrOff(c + 1)) {
+        val pj = picked(nbrs(z))
         if (rho(pj) > rho(pi) && rho(pj) > chosenRho) { chosenRho = rho(pj); chosen = pj }
         z += 1
       }
@@ -118,7 +113,7 @@ object SApproxDPC extends DPCAlgorithm {
 
     if (pPrime.length.toLong * pPrime.length > 4L * n) {
       // Fallback of §5: Approx-DPC's exact dependent search over the picked set.
-      val exact = ExactDependents.compute(spark, pts, rho, picked, pPrime)
+      val exact = ExactDependents.compute(spark, bcTree, pts, rho, picked, pPrime)
       exact.foreach { case (q, dep, dd) => depId(q) = dep; delta(q) = dd }
     } else if (pPrime.nonEmpty) {
       // Phase 2: temporal clusters + triangle-inequality pruning (driver; the
@@ -195,10 +190,10 @@ object SApproxDPC extends DPCAlgorithm {
       // No roots means a cycle-free forest already complete — nothing to do.
     }
     val t2 = System.nanoTime()
-    bcPts.destroy(); bcGrid.destroy(); bcPick.destroy()
+    bcPts.destroy(); bcTree.destroy(); bcGrid.destroy()
 
-    val mem = tree.memBytes + grid.memBytes +
-      nbrsC.iterator.map(a => if (a == null) 0L else 4L * a.length).sum + 8L * grid.nCells
+    val mem = MaxRhoKdTree.memBytes(n, pts.d) + grid.memBytes + 4L * (nbrOff.length + nbrs.length) +
+      8L * grid.nCells
     new DPCResult(rho, depId, delta,
       PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), mem)
   }

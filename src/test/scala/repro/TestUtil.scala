@@ -37,6 +37,18 @@ object TestUtil {
     Pts.fromArrays(d, rows)
   }
 
+  /** [[clusteredPts]] with every coordinate rounded to a multiple of `step`,
+    * so that many points share a position and many pairs lie exactly at a
+    * multiple of `step` apart.
+    */
+  def quantizedPts(n: Int, d: Int, k: Int, sigma: Double, domain: Double, step: Double, seed: Long): Pts = {
+    val p = clusteredPts(n, d, k, sigma, domain, seed)
+    new Pts(n, d, p.data.map(x => math.rint(x / step) * step), p.ids)
+  }
+
+  /** Number of distinct positions of a point set. */
+  def distinctPositions(pts: Pts): Int = (0 until pts.n).map(i => pts.point(i).toSeq).distinct.length
+
   /** Brute-force reference: exact jittered densities. */
   def bruteRho(pts: Pts, dcut: Double): Array[Double] = {
     val dcut2 = dcut * dcut

@@ -59,6 +59,21 @@ class ApproxDPCSpec extends SparkSpec {
     }
   }
 
+  test("20k duplicate-heavy points on a quantized grid: exact densities and Theorem 4's centers") {
+    // Step 10 and dcut 20: about 9 copies per position, and every pair two
+    // steps apart lies exactly at dcut.
+    val pts = TestUtil.quantizedPts(20000, 2, k = 4, sigma = 40.0, domain = 1000.0, step = 10.0, seed = 650)
+    assert(TestUtil.distinctPositions(pts) < pts.n / 4)
+    val params = DPCParams(dcut = 20.0, rhoMin = 5.0)
+    val ex = ExDPC.run(spark, pts, params)
+    val ap = ApproxDPC.run(spark, pts, params)
+    assert(ap.rho.toSeq === ex.rho.toSeq)
+    val deltaMin = DecisionGraph.deltaMinForK(ex, params.rhoMin, 4, params.dcut)
+    val centers  = Labels.centers(ex, params.rhoMin, deltaMin).toSeq
+    assert(centers.length === 4)
+    assert(Labels.centers(ap, params.rhoMin, deltaMin).toSeq === centers)
+  }
+
   test("Rand index vs Ex-DPC is near 1 on clustered data") {
     val pts    = TestUtil.clusteredPts(1500, 2, k = 5, sigma = 18.0, domain = 1000.0, seed = 630)
     val params = DPCParams(dcut = 36.0, rhoMin = 5.0)

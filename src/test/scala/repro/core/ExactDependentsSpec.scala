@@ -92,6 +92,20 @@ class ExactDependentsSpec extends SparkSpec {
     checkAll(pts, rho, universe, queries, out, q => bruteOver(pts, rho, universe, q))
   }
 
+  test("a broadcast tree over all points answers a restricted universe like a tree over the universe") {
+    val pts      = TestUtil.clusteredPts(2500, 2, k = 3, sigma = 30.0, domain = 1000.0, seed = 817)
+    val full     = TestUtil.bruteRho(pts, 40.0)
+    val universe = (0 until pts.n by 3).toArray
+    val rho      = Array.fill(pts.n)(Double.NaN)
+    universe.foreach(i => rho(i) = full(i))
+    val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, Array.range(0, pts.n)))
+    try {
+      val out = ExactDependents.compute(spark, tree, pts, rho, universe, universe)
+      assert(out.toSeq === ExactDependents.compute(spark, pts, rho, universe, universe).toSeq)
+      checkAll(pts, rho, universe, universe, out, q => bruteOver(pts, rho, universe, q))
+    } finally tree.destroy()
+  }
+
   test("no queries or an empty universe return without a search") {
     val pts = TestUtil.uniformPts(20, 2, 100.0, seed = 816)
     val rho = TestUtil.bruteRho(pts, 30.0)

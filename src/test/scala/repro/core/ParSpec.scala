@@ -101,7 +101,10 @@ class ParSpec extends SparkSpec {
     seen.foreach { case (_, g) => assert(g === (g.head to g.last), s"task saw a non-contiguous range $g") }
   }
 
-  test("one Par call runs one job of one stage and writes no shuffle bytes") {
+  /** Runs `body` under its own job group and returns the number of jobs and
+    * completed stages it ran and the shuffle bytes its tasks wrote.
+    */
+  private def sparkWork(body: => Unit): (Int, Int, Long) = {
     val sc = spark.sparkContext
     val group = "ParSpec-one-stage"
     val marker = "ParSpec-marker"
@@ -133,10 +136,7 @@ class ParSpec extends SparkSpec {
     sc.addSparkListener(listener)
     try {
       sc.setJobGroup(group, "one Par call")
-      val out = Par.mapBalanced[(Int, Double)](spark, Array.tabulate(400)(i => (i % 5 + 1).toDouble), sc.defaultParallelism) { idxs =>
-        idxs.iterator.map(i => (i, i * 0.5))
-      }
-      assert(out.length === 400)
+      body
       // Listener events arrive in order, so once a later job has ended every
       // event of the Par call has been delivered.
       sc.setJobGroup(marker, "listener bus marker")
@@ -146,9 +146,35 @@ class ParSpec extends SparkSpec {
       sc.clearJobGroup()
       sc.removeSparkListener(listener)
     }
-    listener.synchronized {
-      assert((jobs.size, completed.size, shuffleBytes) === ((1, 1, 0L)),
-        s"(jobs, stages, shuffle bytes): jobs $jobs, stages $completed")
+    listener.synchronized((jobs.size, completed.size, shuffleBytes))
+  }
+
+  test("one Par call runs one job of one stage and writes no shuffle bytes") {
+    val sc = spark.sparkContext
+    val work = sparkWork {
+      val out = Par.mapBalanced[(Int, Double)](spark, Array.tabulate(400)(i => (i % 5 + 1).toDouble), sc.defaultParallelism) { idxs =>
+        idxs.iterator.map(i => (i, i * 0.5))
+      }
+      assert(out.length === 400)
     }
+    assert(work === ((1, 1, 0L)), "(jobs, stages, shuffle bytes)")
+  }
+
+  test("mapGroups runs each group in its own task of one stage, writes no shuffle bytes, keeps group order") {
+    val groups = Array(Array(5, 1), Array(0), Array(2, 3, 4, 9), Array(8), Array(7, 6))
+    val inTask = taskOfGroup // a local copy, so the closure does not capture the suite
+    var seen   = Array.empty[(Int, Seq[Int])]
+    val work   = sparkWork { seen = Par.mapGroups(spark, groups)(inTask(_).next()) }
+    assert(work === ((1, 1, 0L)), "(jobs, stages, shuffle bytes)")
+    assert(seen.map(_._2).toSeq === groups.map(_.toSeq).toSeq)
+    assertOneTaskPerGroup(seen, groups.map(_.toSeq).toSeq)
+    assert(Par.mapGroups(spark, Array.empty[Array[Int]])(_.length).isEmpty)
+  }
+
+  test("lpt breaks ties by item index and then by the lowest group index") {
+    assert(Par.lpt(Array.fill(7)(1.0), 3).map(_.toSeq).toSeq === Seq(Seq(0, 3, 6), Seq(1, 4), Seq(2, 5)))
+    // 5 opens group 0, the 3s (items 1 then 2) open groups 1 and 2, and the 1
+    // joins group 1, the lower of the two groups loaded 3.
+    assert(Par.lpt(Array(1.0, 3.0, 3.0, 5.0), 3).map(_.toSeq).toSeq === Seq(Seq(3), Seq(1, 0), Seq(2)))
   }
 }

@@ -97,6 +97,23 @@ class SApproxDPCSpec extends SparkSpec {
     assert(grid.nCells < pts.n / 2, s"grid has ${grid.nCells} cells for ${pts.n} points")
   }
 
+  for (eps <- Seq(0.5, 1.5)) {
+    test(s"20k duplicate-heavy points on a quantized grid: exact picked rho, delta bound, one root (eps=$eps)") {
+      val pts = TestUtil.quantizedPts(20000, 2, k = 4, sigma = 40.0, domain = 1000.0, step = 10.0, seed = 791)
+      assert(TestUtil.distinctPositions(pts) < pts.n / 4)
+      val dcut   = 20.0
+      val params = DPCParams(dcut, epsilon = eps)
+      val ex     = ExDPC.run(spark, pts, params)
+      val res    = SApproxDPC.run(spark, pts, params)
+      val picked = pickedOf(pts, dcut, eps)
+      picked.foreach { i =>
+        assert(res.rho(i) === ex.rho(i), s"picked $i density")
+        assert(res.delta(i) >= ex.delta(i), s"picked $i: delta ${res.delta(i)} < Ex-DPC's ${ex.delta(i)}")
+      }
+      assert(picked.count(i => res.depId(i) < 0) === 1)
+    }
+  }
+
   test("degenerate input: n=1") {
     val one = Pts.fromArrays(2, Seq(Array(1.0, 1.0)))
     val r   = SApproxDPC.run(spark, one, DPCParams(dcut = 1.0, epsilon = 0.5))

@@ -3,6 +3,7 @@ package repro.grid
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.core.Pts
+import scala.collection.mutable
 
 /** Uniform grid invariants. */
 class GridSpec extends AnyFunSuite {
@@ -86,5 +87,66 @@ class GridSpec extends AnyFunSuite {
     assert(grid.key(grid.cellOf(0))(0) === -1)
     assert(grid.key(grid.cellOf(1))(0) === 0)
     assert(grid.key(grid.cellOf(2))(0) === -4)
+  }
+
+  /** Reference grid: cells numbered in first-seen order via a map on the
+    * boxed keys, members in ascending id.
+    */
+  private def reference(pts: Pts, side: Double): (Array[Int], Seq[Seq[Int]], Seq[Seq[Int]]) = {
+    val index  = mutable.LinkedHashMap.empty[Seq[Int], mutable.ArrayBuffer[Int]]
+    val cellOf = Array.tabulate(pts.n) { i =>
+      val key = (0 until pts.d).map(j => math.floor(pts.coord(i, j) / side).toInt)
+      index.getOrElseUpdate(key, mutable.ArrayBuffer.empty) += i
+      index.keys.toSeq.indexOf(key)
+    }
+    (cellOf, index.values.map(_.toSeq).toSeq, index.keys.toSeq)
+  }
+
+  private def assertMatchesReference(pts: Pts, side: Double): Grid = {
+    val grid = new Grid(pts, side)
+    val (cellOf, cells, keys) = reference(pts, side)
+    assert(grid.nCells === cells.length)
+    assert(grid.cellOf.toSeq === cellOf.toSeq)
+    assert(grid.cells.map(_.toSeq).toSeq === cells)
+    assert((0 until grid.nCells).map(c => grid.key(c).toSeq) === keys)
+    (0 until grid.nCells).foreach { c =>
+      assert(grid.size(c) === cells(c).length)
+      assert((grid.start(c) until grid.start(c + 1)).map(grid.members) === cells(c))
+    }
+    grid
+  }
+
+  test("cells are numbered in first-seen order and list their members in ascending id") {
+    val pts  = TestUtil.clusteredPts(600, 2, k = 3, sigma = 15.0, domain = 200.0, seed = 46)
+    val grid = assertMatchesReference(pts, 6.0)
+    // The first point of each new cell, in id order, opens cells 0, 1, 2, ...
+    val opened = (0 until pts.n).map(grid.cellOf).distinct
+    assert(opened === (0 until grid.nCells))
+  }
+
+  test("negative and mixed-sign coordinates match the reference grid") {
+    val pts = TestUtil.uniformPts(800, 3, 200.0, seed = 47)
+    val shifted = Pts.fromArrays(3, (0 until pts.n).map(i => pts.point(i).map(_ - 100.0)))
+    val grid = assertMatchesReference(shifted, 9.5)
+    assert((0 until grid.nCells).exists(c => grid.key(c).exists(_ < 0)))
+  }
+
+  test("20k points in one cell") {
+    val rnd  = new scala.util.Random(48)
+    val pts  = Pts.fromArrays(2, Seq.fill(20000)(Array(rnd.nextDouble() * 0.9, 3.0 + rnd.nextDouble() * 0.9)))
+    val grid = new Grid(pts, side = 1.0)
+    assert(grid.nCells === 1)
+    assert(grid.cells.head.toSeq === (0 until 20000))
+    assert(grid.key(0).toSeq === Seq(0, 3))
+  }
+
+  test("64-d keys: points that differ only in their last coordinate get different cells") {
+    val pts  = TestUtil.uniformPts(500, 64, 10.0, seed = 49)
+    assertMatchesReference(pts, 4.0)
+    val base = Array.fill(64)(1.5)
+    val twin = base.clone()
+    twin(63) = 2.5
+    val grid = new Grid(Pts.fromArrays(64, Seq(base, twin, base.clone())), side = 1.0)
+    assert(grid.cellOf.toSeq === Seq(0, 1, 0))
   }
 }
