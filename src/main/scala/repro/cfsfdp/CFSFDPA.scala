@@ -63,12 +63,16 @@ object CFSFDPA extends DPCAlgorithm {
     val bcSM  = sc.broadcast(sortedMembers)
     val bcSD  = sc.broadcast(sortedDists)
 
-    val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
-      val p  = bcPts.value
-      val pd = bcPD.value
-      val sm = bcSM.value
-      val sd = bcSD.value
-      idxs.iterator.map { qi =>
+    val rhoGroups = Par.indexed(spark, n)
+    val rho = Par.scatter(n, rhoGroups, Par.mapGroups(spark, rhoGroups) { idxs =>
+      val p   = bcPts.value
+      val pd  = bcPD.value
+      val sm  = bcSM.value
+      val sd  = bcSD.value
+      val out = new Array[Double](idxs.length)
+      var w = 0
+      while (w < idxs.length) {
+        val qi  = idxs(w)
         var cnt = 0
         var mm = 0
         while (mm < sm.length) {
@@ -86,11 +90,11 @@ object CFSFDPA extends DPCAlgorithm {
           }
           mm += 1
         }
-        (qi, cnt + Jitter.frac(qi))
+        out(w) = cnt + Jitter.frac(qi)
+        w += 1
       }
-    }
-    val rho = new Array[Double](n)
-    rhoOut.foreach { case (idx, r) => rho(idx) = r }
+      out
+    })
     val t1 = System.nanoTime()
 
     val (depId, delta) = ScanDependents.compute(spark, pts, rho)

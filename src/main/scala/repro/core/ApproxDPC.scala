@@ -149,8 +149,9 @@ object ApproxDPC extends DPCAlgorithm {
 
     // --- Exact dependent points for the undecided (stem) points. ---
     val pPrime = undecided.result()
-    val exact = ExactDependents.compute(spark, bcTree, pts, rho, Array.range(0, n), pPrime)
-    exact.foreach { case (q, dep, dd) => depId(q) = dep; delta(q) = dd }
+    val (exDep, exDelta) = ExactDependents.compute(spark, bcTree, pts, rho, Array.range(0, n), pPrime)
+    var k = 0
+    while (k < pPrime.length) { depId(pPrime(k)) = exDep(k); delta(pPrime(k)) = exDelta(k); k += 1 }
     val t2 = System.nanoTime()
     bcPts.destroy(); bcTree.destroy(); bcGrid.destroy()
 

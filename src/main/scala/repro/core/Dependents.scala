@@ -25,12 +25,17 @@ object ScanDependents {
     val bcRank  = sc.broadcast(rank)
 
     // Cost of point i is its rank (prefix length scanned) — LPT-balance it.
-    val costs = Array.tabulate(n)(i => math.max(1.0, rank(i).toDouble))
-    val out = Par.mapBalanced[(Int, Int, Double)](spark, costs, spark.sparkContext.defaultParallelism) { idxs =>
-      val p  = bcPts.value
-      val od = bcOrder.value
-      val rk = bcRank.value
-      idxs.iterator.map { i =>
+    val costs  = Array.tabulate(n)(i => math.max(1.0, rank(i).toDouble))
+    val groups = Par.lpt(costs, sc.defaultParallelism)
+    val out = Par.mapGroups(spark, groups) { idxs =>
+      val p     = bcPts.value
+      val od    = bcOrder.value
+      val rk    = bcRank.value
+      val dep   = new Array[Int](idxs.length)
+      val delta = new Array[Double](idxs.length)
+      var k = 0
+      while (k < idxs.length) {
+        val i      = idxs(k)
         val myRank = rk(i)
         var bestId = -1
         var bestD2 = Double.PositiveInfinity
@@ -41,14 +46,14 @@ object ScanDependents {
           if (d2 < bestD2) { bestD2 = d2; bestId = j }
           s += 1
         }
-        (i, bestId, if (bestId < 0) Double.PositiveInfinity else math.sqrt(bestD2))
+        dep(k) = bestId
+        delta(k) = if (bestId < 0) Double.PositiveInfinity else math.sqrt(bestD2)
+        k += 1
       }
+      (dep, delta)
     }
-    val depId = new Array[Int](n)
-    val delta = new Array[Double](n)
-    out.foreach { case (i, q, dd) => depId(i) = q; delta(i) = dd }
     bcPts.destroy(); bcOrder.destroy(); bcRank.destroy()
-    (depId, delta)
+    (Par.scatter(n, groups, out.map(_._1)), Par.scatter(n, groups, out.map(_._2)))
   }
 }
 
@@ -89,13 +94,16 @@ object ExactDependents {
     if (universe.isEmpty || queries.isEmpty)
       return queries.map(q => (q, -1, Double.PositiveInfinity))
     val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, universe))
-    try compute(spark, tree, pts, rho, universe, queries)
-    finally tree.destroy()
+    val (dep, delta) =
+      try compute(spark, tree, pts, rho, universe, queries)
+      finally tree.destroy()
+    Array.tabulate(queries.length)(k => (queries(k), dep(k), delta(k)))
   }
 
   /** [[compute]] over an already broadcast tree that indexes at least the
     * universe, such as the one a density phase searched: only the densities
-    * and the queries are broadcast.
+    * and the queries are broadcast. Returns `(depId, delta)` of each query,
+    * in the order of `queries`.
     */
   def compute(
       spark: SparkSession,
@@ -104,9 +112,10 @@ object ExactDependents {
       rho: Array[Double],
       universe: Array[Int],
       queries: Array[Int]
-  ): Array[(Int, Int, Double)] = {
-    if (universe.isEmpty || queries.isEmpty)
-      return queries.map(q => (q, -1, Double.PositiveInfinity))
+  ): (Array[Int], Array[Double]) = {
+    val m = queries.length
+    if (universe.isEmpty || m == 0)
+      return (Array.fill(m)(-1), Array.fill(m)(Double.PositiveInfinity))
 
     val d    = pts.d
     val dens = tree.value.densities(rho, universe)
@@ -123,19 +132,27 @@ object ExactDependents {
 
     // A query costs microseconds, so one group per core: more tasks would
     // only add Spark's per-task overhead.
-    val out = Par.mapIndexed[(Int, Int, Double)](spark, queries.length, oversub = 1) { qis =>
+    val groups = Par.indexed(spark, m, oversub = 1)
+    val out = Par.mapGroups(spark, groups) { qis =>
       val t        = tree.value
       val dn       = bcDens.value
       val (xs, rq) = bcQ.value
       val q        = new Array[Double](d)
-      qis.iterator.map { qi =>
+      val dep      = new Array[Int](qis.length)
+      val dist     = new Array[Double](qis.length)
+      var k = 0
+      while (k < qis.length) {
+        val qi = qis(k)
         System.arraycopy(xs, qi * d, q, 0, d)
-        val (dep, dist) = t.denserNearest(q, rq(qi), dn)
-        (qi, dep, dist)
+        val (j, dd) = t.denserNearest(q, rq(qi), dn)
+        dep(k) = j
+        dist(k) = dd
+        k += 1
       }
+      (dep, dist)
     }
     bcDens.destroy(); bcQ.destroy()
-    out.map { case (qi, dep, dist) => (queries(qi), dep, dist) }
+    (Par.scatter(m, groups, out.map(_._1)), Par.scatter(m, groups, out.map(_._2)))
   }
 
   /** Modelled footprint of the search's kd-tree over `m` points in `R^d`. */

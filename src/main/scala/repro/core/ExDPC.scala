@@ -26,18 +26,22 @@ object ExDPC extends DPCAlgorithm {
     val tree = new KdTree(pts).buildAll()
     val bcPts  = spark.sparkContext.broadcast(pts)
     val bcTree = spark.sparkContext.broadcast(tree)
-    val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
-      val p = bcPts.value
-      val t = bcTree.value
-      val q = new Array[Double](p.d)
-      idxs.iterator.map { i =>
+    val groups = Par.indexed(spark, n)
+    val rho = Par.scatter(n, groups, Par.mapGroups(spark, groups) { idxs =>
+      val p   = bcPts.value
+      val t   = bcTree.value
+      val q   = new Array[Double](p.d)
+      val out = new Array[Double](idxs.length)
+      var k = 0
+      while (k < idxs.length) {
+        val i = idxs(k)
         System.arraycopy(p.data, i * p.d, q, 0, p.d)
         val cnt = t.rangeCount(q, params.dcut) - 1 // exclude the point itself
-        (i, cnt + Jitter.frac(i))
+        out(k) = cnt + Jitter.frac(i)
+        k += 1
       }
-    }
-    val rho = new Array[Double](n)
-    rhoOut.foreach { case (i, r) => rho(i) = r }
+      out
+    })
     val memDensity = tree.memBytes
     bcPts.destroy(); bcTree.destroy()
     val t1 = System.nanoTime()

@@ -8,24 +8,40 @@ object Order {
     * radix sort over the keys' bits.
     */
   def descending(keys: Array[Double]): Array[Int] = {
-    val n   = keys.length
-    var ix  = new Array[Int](n)
-    var k   = new Array[Long](n)
-    var ix2 = new Array[Int](n)
-    var k2  = new Array[Long](n)
+    val k = new Array[Long](keys.length)
     var i = 0
-    while (i < n) {
+    while (i < keys.length) {
       // Bits of -key whose unsigned order is java.lang.Double.compare's order.
       val b = java.lang.Double.doubleToLongBits(-keys(i))
       k(i) = (if (b < 0) ~b else b ^ Long.MinValue)
-      ix(i) = i
       i += 1
     }
+    radix(k)
+  }
+
+  /** Indices `0 until keys.length` by ascending key, equal keys in ascending
+    * index: the order `sortBy(i => keys(i))` gives, by the same radix sort.
+    */
+  def ascending(keys: Array[Long]): Array[Int] = {
+    val k = new Array[Long](keys.length)
+    var i = 0
+    // Flipping the sign bit makes the unsigned order the signed one.
+    while (i < keys.length) { k(i) = keys(i) ^ Long.MinValue; i += 1 }
+    radix(k)
+  }
+
+  /** Indices by ascending unsigned key, ties in ascending index. Overwrites `keys`. */
+  private def radix(keys: Array[Long]): Array[Int] = {
+    val n   = keys.length
+    var k   = keys
+    var ix  = Array.range(0, n)
+    var ix2 = new Array[Int](n)
+    var k2  = new Array[Long](n)
     val count = new Array[Int](257)
     var shift = 0
     while (shift < 64) {
       java.util.Arrays.fill(count, 0)
-      i = 0
+      var i = 0
       while (i < n) { count(((k(i) >>> shift) & 0xff).toInt + 1) += 1; i += 1 }
       // A pass where every key has the same byte would not move anything.
       if (!count.contains(n)) {

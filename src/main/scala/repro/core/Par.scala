@@ -6,17 +6,18 @@ import scala.reflect.ClassTag
 
 /** Parallel-loop substrate: Spark tasks play the role of OpenMP threads.
   *
-  * Every call builds groups of item indices and runs them through
+  * Every parallel phase builds groups of item indices and runs them through
   * [[mapGroups]]: one RDD stage with one partition, hence one Spark task, per
-  * group. Three scheduling modes mirror the paper:
+  * group. Each task returns one block of primitive arrays for its group, and
+  * [[scatter]] puts the blocks' values back at their items' indices. Three
+  * group builders mirror the paper's scheduling modes:
   *
-  *  - [[mapBalanced]] — the cost-based partitioning of §4.5: work units are
-  *    packed into `buckets` groups with Graham's LPT greedy (3/2-approx of
-  *    makespan), one group per Spark task.
-  *  - [[mapIndexed]] — the `schedule(dynamic)` analogue of §3: unit-cost items
-  *    are split into many more partitions than cores so the Spark scheduler
-  *    balances dynamically.
-  *  - [[mapStatic]] — deliberately *unbalanced* static contiguous ranges,
+  *  - [[lpt]] — the cost-based partitioning of §4.5: work units are packed
+  *    into buckets with Graham's LPT greedy (3/2-approx of makespan).
+  *  - [[indexed]] — the `schedule(dynamic)` analogue of §3: unit-cost items
+  *    are dealt round-robin into many more groups than cores so the Spark
+  *    scheduler balances dynamically.
+  *  - [[ranges]] — deliberately *unbalanced* static contiguous ranges,
   *    reproducing LSH-DDP's hash partitioning that the paper criticizes.
   */
 object Par {
@@ -44,6 +45,23 @@ object Par {
     groups.map(_.result())
   }
 
+  /** `0 until n` dealt round-robin into `oversub` groups per core (at most
+    * `n` groups): group g holds `g, g + parts, g + 2 * parts, ...`.
+    */
+  def indexed(spark: SparkSession, n: Int, oversub: Int = 4): Array[Array[Int]] = {
+    val parts = math.min(n, spark.sparkContext.defaultParallelism * oversub)
+    Array.tabulate(parts)(g => Array.range(g, n, parts))
+  }
+
+  /** `0 until n` cut into at most `parts` contiguous ranges of equal length
+    * (the last one shorter), with no load balancing.
+    */
+  def ranges(n: Int, parts: Int): Array[Array[Int]] = {
+    val p    = math.max(1, math.min(parts, n))
+    val step = (n + p - 1) / p
+    Array.tabulate(p)(g => Array.range(g * step, math.min(n, (g + 1) * step))).filter(_.nonEmpty)
+  }
+
   /** Runs `f` once on each group, each group in its own Spark task of one
     * RDD stage with no shuffle, and returns the results in group order.
     */
@@ -51,37 +69,29 @@ object Par {
     if (groups.isEmpty) Array.empty[T]
     else spark.sparkContext.parallelize(groups.toSeq, groups.length).map(f).collect()
 
-  /** LPT-balanced parallel map: each of the `buckets` index groups is processed
-    * by one Spark task via `f`; all results are collected to the driver.
-    */
-  def mapBalanced[T: ClassTag](spark: SparkSession, costs: Array[Double], buckets: Int)(
-      f: Array[Int] => Iterator[T]
-  ): Array[T] =
-    flatMapGroups(spark, if (costs.isEmpty) Array.empty else lpt(costs, buckets))(f)
-
-  /** Dynamic-scheduling analogue: `n` unit-cost items, `oversub` partitions per
-    * core so stragglers are absorbed by the scheduler.
+  /** [[mapGroups]] over the [[indexed]] groups, with each group's results
+    * flattened in group order.
     */
   def mapIndexed[T: ClassTag](spark: SparkSession, n: Int, oversub: Int = 4)(
       f: Array[Int] => Iterator[T]
-  ): Array[T] = {
-    val parts  = math.min(n, spark.sparkContext.defaultParallelism * oversub)
-    val groups = Array.tabulate(parts)(g => Array.range(g, n, parts))
-    flatMapGroups(spark, groups)(f)
-  }
-
-  /** Static contiguous ranges (no load balancing) — LSH-DDP's partitioning. */
-  def mapStatic[T: ClassTag](spark: SparkSession, n: Int, parts: Int)(
-      f: Array[Int] => Iterator[T]
-  ): Array[T] = {
-    val p      = math.max(1, math.min(parts, n))
-    val step   = (n + p - 1) / p
-    val groups = Array.tabulate(p)(g => Array.range(g * step, math.min(n, (g + 1) * step)))
-    flatMapGroups(spark, groups.filter(_.nonEmpty))(f)
-  }
-
-  private def flatMapGroups[T: ClassTag](spark: SparkSession, groups: Array[Array[Int]])(
-      f: Array[Int] => Iterator[T]
   ): Array[T] =
-    mapGroups(spark, groups)(g => f(g).toArray).flatten
+    mapGroups(spark, indexed(spark, n, oversub))(g => f(g).toArray).flatten
+
+  /** An array of length `n` holding `blocks(g)(k)` at index `groups(g)(k)`:
+    * the per-group results of [[mapGroups]] placed by item index.
+    * Specialized, so `Int` and `Double` blocks are copied without boxing.
+    */
+  def scatter[@specialized(Int, Double) T: ClassTag](n: Int, groups: Array[Array[Int]], blocks: Array[Array[T]]): Array[T] = {
+    val out = new Array[T](n)
+    var g = 0
+    while (g < groups.length) {
+      val ix = groups(g)
+      val b  = blocks(g)
+      require(b.length == ix.length, s"group $g has ${ix.length} items but a block of ${b.length}")
+      var k = 0
+      while (k < ix.length) { out(ix(k)) = b(k); k += 1 }
+      g += 1
+    }
+    out
+  }
 }

@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types._
+import scala.collection.mutable
 
 /** Flat, cache-friendly point set: `n` points in `R^d`, row-major coordinates.
   *
@@ -64,35 +66,116 @@ object Pts {
 
   /** Collect a point DataFrame `(id, x0..x{d-1})` into a [[Pts]], ordered by id.
     *
-    * Rejects, with an `IllegalArgumentException`, a frame with no rows, a null
-    * id or coordinate, a NaN or infinite coordinate, and a duplicate id.
+    * One Spark job over the frame's own plan packs each partition into a
+    * [[Block]] of primitive arrays; the driver orders the rows by id with a
+    * radix argsort. Other columns are ignored. Rejects, with an
+    * `IllegalArgumentException`, a frame with no coordinate columns, an `id`
+    * that is not `bigint` or a coordinate that is not `double`, no rows, a
+    * null id or coordinate, a NaN or infinite coordinate, and a duplicate id.
     */
   def fromDF(df: DataFrame): Pts = {
-    val xCols = df.columns.filter(_.matches("x\\d+")).sortBy(_.drop(1).toInt)
-    val d     = xCols.length
-    require(d > 0, s"no coordinate columns x0.. in ${df.columns.mkString(",")}")
-    val rows = df.select("id", xCols.toIndexedSeq: _*).orderBy("id").collect()
-    val n    = rows.length
+    val schema = df.schema
+    val xCols  = schema.fieldNames.filter(_.matches("x\\d+")).sortBy(_.drop(1).toInt)
+    val d      = xCols.length
+    require(d > 0, s"no coordinate columns x0.. in ${schema.fieldNames.mkString(",")}")
+    def column(name: String, dt: DataType): Int = {
+      val c = schema.fieldIndex(name)
+      require(schema(c).dataType == dt,
+        s"column $name has type ${schema(c).dataType.simpleString}, expected ${dt.simpleString}")
+      c
+    }
+    val idCol  = column("id", LongType)
+    val xIdx   = xCols.map(column(_, DoubleType))
+    val blocks = df.queryExecution.toRdd.mapPartitions(rows => Iterator.single(Block.pack(rows, idCol, xIdx))).collect()
+
+    require(!blocks.exists(_.nullId), "point with a null id")
+    val n = blocks.iterator.map(_.ids.length.toLong).sum
     require(n > 0, "point DataFrame has no points")
-    val data = new Array[Double](n * d)
-    val ids  = new Array[Long](n)
+    require(n * d <= Int.MaxValue, s"$n points in $d dimensions do not fit one array")
+    val ids = new Array[Long](n.toInt)
+    val xs  = new Array[Double](n.toInt * d)
+    // The row holding the null coordinate of the smallest id, by its position
+    // in `ids`: the first null the scan below meets.
+    var nullAt, nullCol = -1
+    var off = 0
+    blocks.foreach { b =>
+      val m = b.ids.length
+      System.arraycopy(b.ids, 0, ids, off, m)
+      System.arraycopy(b.xs, 0, xs, off * d, m * d)
+      if (b.nullRow >= 0 && (nullAt < 0 || b.ids(b.nullRow) < ids(nullAt))) {
+        nullAt = off + b.nullRow; nullCol = b.nullCol
+      }
+      off += m
+    }
+
+    val order = Order.ascending(ids)
+    val sorted = new Array[Long](ids.length)
+    val data   = new Array[Double](xs.length)
     var i = 0
-    while (i < n) {
-      val r = rows(i)
-      require(!r.isNullAt(0), "point with a null id")
-      ids(i) = r.getLong(0)
-      require(i == 0 || ids(i) != ids(i - 1), s"duplicate point id ${ids(i)}")
+    while (i < sorted.length) {
+      val s  = order(i)
+      val id = ids(s)
+      sorted(i) = id
+      require(i == 0 || id != sorted(i - 1), s"duplicate point id $id")
       var j = 0
       while (j < d) {
-        require(!r.isNullAt(j + 1), s"point id ${ids(i)}: coordinate x$j is null")
-        val x = r.getDouble(j + 1)
-        require(!x.isNaN && !x.isInfinite, s"point id ${ids(i)}: coordinate x$j = $x is not finite")
+        require(s != nullAt || j != nullCol, s"point id $id: coordinate x$j is null")
+        val x = xs(s * d + j)
+        require(!x.isNaN && !x.isInfinite, s"point id $id: coordinate x$j = $x is not finite")
         data(i * d + j) = x
         j += 1
       }
       i += 1
     }
-    new Pts(n, d, data, ids)
+    new Pts(sorted.length, d, data, sorted)
+  }
+
+  /** The rows of one partition of a point frame, in partition order.
+    *
+    * @param ids     the non-null ids
+    * @param xs      their coordinates, row-major; a null coordinate reads 0
+    * @param nullId  whether a row had a null id (its row is left out)
+    * @param nullRow the row, among `ids`, of the smallest id that has a null
+    *                coordinate, or -1
+    * @param nullCol that row's first null coordinate
+    */
+  private final class Block(
+      val ids: Array[Long],
+      val xs: Array[Double],
+      val nullId: Boolean,
+      val nullRow: Int,
+      val nullCol: Int
+  ) extends Serializable
+
+  private object Block {
+    def pack(rows: Iterator[InternalRow], idCol: Int, xIdx: Array[Int]): Block = {
+      val d   = xIdx.length
+      val ids = new mutable.ArrayBuilder.ofLong
+      val xs  = new mutable.ArrayBuilder.ofDouble
+      var nullId = false
+      var nullRow, nullCol = -1
+      var nullKey = 0L
+      var m = 0
+      while (rows.hasNext) {
+        val r = rows.next()
+        if (r.isNullAt(idCol)) nullId = true
+        else {
+          val id = r.getLong(idCol)
+          ids += id
+          var j = 0
+          while (j < d) {
+            if (!r.isNullAt(xIdx(j))) xs += r.getDouble(xIdx(j))
+            else {
+              xs += 0.0
+              if (nullRow < 0 || (nullRow != m && id < nullKey)) { nullRow = m; nullCol = j; nullKey = id }
+            }
+            j += 1
+          }
+          m += 1
+        }
+      }
+      new Block(ids.result(), xs.result(), nullId, nullRow, nullCol)
+    }
   }
 
   /** Build a [[Pts]] directly from coordinate rows (ids become 0..n-1). */

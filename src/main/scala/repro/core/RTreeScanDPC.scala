@@ -17,17 +17,21 @@ object RTreeScanDPC extends DPCAlgorithm {
     val tree = new RTree(pts).buildAll()
     val bcPts  = spark.sparkContext.broadcast(pts)
     val bcTree = spark.sparkContext.broadcast(tree)
-    val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
-      val p = bcPts.value
-      val t = bcTree.value
-      idxs.iterator.map { i =>
+    val groups = Par.indexed(spark, n)
+    val rho = Par.scatter(n, groups, Par.mapGroups(spark, groups) { idxs =>
+      val p   = bcPts.value
+      val t   = bcTree.value
+      val out = new Array[Double](idxs.length)
+      var k = 0
+      while (k < idxs.length) {
+        val i = idxs(k)
         // rangeCount includes the query point itself (distance 0): subtract it.
         val cnt = t.rangeCount(p.point(i), params.dcut) - 1
-        (i, cnt + Jitter.frac(i))
+        out(k) = cnt + Jitter.frac(i)
+        k += 1
       }
-    }
-    val rho = new Array[Double](n)
-    rhoOut.foreach { case (i, r) => rho(i) = r }
+      out
+    })
     val t1 = System.nanoTime()
 
     val (depId, delta) = ScanDependents.compute(spark, pts, rho)

@@ -113,8 +113,9 @@ object SApproxDPC extends DPCAlgorithm {
 
     if (pPrime.length.toLong * pPrime.length > 4L * n) {
       // Fallback of §5: Approx-DPC's exact dependent search over the picked set.
-      val exact = ExactDependents.compute(spark, bcTree, pts, rho, picked, pPrime)
-      exact.foreach { case (q, dep, dd) => depId(q) = dep; delta(q) = dd }
+      val (exDep, exDelta) = ExactDependents.compute(spark, bcTree, pts, rho, picked, pPrime)
+      var k = 0
+      while (k < pPrime.length) { depId(pPrime(k)) = exDep(k); delta(pPrime(k)) = exDelta(k); k += 1 }
     } else if (pPrime.nonEmpty) {
       // Phase 2: temporal clusters + triangle-inequality pruning (driver; the
       // loop is O(|P'_pick|^2 + |P'_pick| * |G'|), both bounded by O(n)).

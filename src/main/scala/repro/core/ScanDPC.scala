@@ -15,20 +15,24 @@ object ScanDPC extends DPCAlgorithm {
 
     val t0    = System.nanoTime()
     val bcPts = spark.sparkContext.broadcast(pts)
-    val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
-      val p = bcPts.value
-      idxs.iterator.map { i =>
+    val groups = Par.indexed(spark, n)
+    val rho = Par.scatter(n, groups, Par.mapGroups(spark, groups) { idxs =>
+      val p   = bcPts.value
+      val out = new Array[Double](idxs.length)
+      var k = 0
+      while (k < idxs.length) {
+        val i = idxs(k)
         var cnt = 0
         var j = 0
         while (j < p.n) {
           if (j != i && p.dist2(i, j) < dcut2) cnt += 1
           j += 1
         }
-        (i, cnt + Jitter.frac(i))
+        out(k) = cnt + Jitter.frac(i)
+        k += 1
       }
-    }
-    val rho = new Array[Double](n)
-    rhoOut.foreach { case (i, r) => rho(i) = r }
+      out
+    })
     val t1 = System.nanoTime()
 
     val (depId, delta) = ScanDependents.compute(spark, pts, rho)

@@ -49,14 +49,15 @@ object Harness {
   }
 
   /** Run one algorithm against a prepared dataset and measure it. `reps` runs
-    * are taken and the fastest kept (single-shot timings in a shared JVM are
-    * at the mercy of GC pauses; results are identical across reps).
+    * are taken and the one with the median total time kept (the lower middle
+    * one for an even `reps`); results are identical across reps.
     */
   def measure(spark: SparkSession, prep: Prepared, algo: DPCAlgorithm, reps: Int = 1): RunStats = {
-    val res = (0 until math.max(1, reps)).map { _ =>
+    val runs = (0 until math.max(1, reps)).map { _ =>
       System.gc()
       algo.run(spark, prep.pts, prep.params)
-    }.minBy(r => r.times.totalMs)
+    }.sortBy(_.times.totalMs)
+    val res = runs((runs.length - 1) / 2)
     val labels = Labels.assign(res, prep.params.rhoMin, prep.params.deltaMin)
     RunStats(
       algo = algo.name,

@@ -52,7 +52,7 @@ object LSHDDP extends DPCAlgorithm {
     val bcPts = sc.broadcast(pts)
     val bcBkt = sc.broadcast(buckets)
     val bcBof = sc.broadcast(bucketOf)
-    val parts = params.resolvedSlices(spark)
+    val groups = Par.ranges(n, params.resolvedSlices(spark))
 
     /** Distinct bucket mates of i across the M tables (excluding i). */
     def candidates(p: Pts, bkt: Array[Array[Array[Int]]], bof: Array[Array[Int]], i: Int): Array[Int] = {
@@ -76,30 +76,37 @@ object LSHDDP extends DPCAlgorithm {
       java.util.Arrays.copyOf(all, w)
     }
 
-    val rhoOut = Par.mapStatic[(Int, Double)](spark, n, parts) { idxs =>
-      val p = bcPts.value
+    val rho = Par.scatter(n, groups, Par.mapGroups(spark, groups) { idxs =>
+      val p   = bcPts.value
       val bkt = bcBkt.value
       val bof = bcBof.value
-      idxs.iterator.map { i =>
+      val out = new Array[Double](idxs.length)
+      var k = 0
+      while (k < idxs.length) {
+        val i    = idxs(k)
         val cand = candidates(p, bkt, bof, i)
         var cnt = 0
         var z = 0
         while (z < cand.length) { if (p.dist2(i, cand(z)) < dcut2) cnt += 1; z += 1 }
-        (i, cnt + Jitter.frac(i))
+        out(k) = cnt + Jitter.frac(i)
+        k += 1
       }
-    }
-    val rho = new Array[Double](n)
-    rhoOut.foreach { case (i, r) => rho(i) = r }
+      out
+    })
     val t1 = System.nanoTime()
 
     // Dependent: nearest denser bucket mate, else exact full scan.
     val bcRho = sc.broadcast(rho)
-    val depOut = Par.mapStatic[(Int, Int, Double)](spark, n, parts) { idxs =>
-      val p   = bcPts.value
-      val bkt = bcBkt.value
-      val bof = bcBof.value
-      val rh  = bcRho.value
-      idxs.iterator.map { i =>
+    val depOut = Par.mapGroups(spark, groups) { idxs =>
+      val p     = bcPts.value
+      val bkt   = bcBkt.value
+      val bof   = bcBof.value
+      val rh    = bcRho.value
+      val dep   = new Array[Int](idxs.length)
+      val delta = new Array[Double](idxs.length)
+      var k = 0
+      while (k < idxs.length) {
+        val i    = idxs(k)
         val cand = candidates(p, bkt, bof, i)
         var bestId = -1
         var bestD2 = Double.PositiveInfinity
@@ -112,8 +119,7 @@ object LSHDDP extends DPCAlgorithm {
           }
           z += 1
         }
-        if (bestId >= 0) (i, bestId, math.sqrt(bestD2))
-        else {
+        if (bestId < 0) {
           // fallback: exact scan of the whole P
           var j = 0
           while (j < p.n) {
@@ -123,13 +129,15 @@ object LSHDDP extends DPCAlgorithm {
             }
             j += 1
           }
-          (i, bestId, if (bestId < 0) Double.PositiveInfinity else math.sqrt(bestD2))
         }
+        dep(k) = bestId
+        delta(k) = if (bestId < 0) Double.PositiveInfinity else math.sqrt(bestD2)
+        k += 1
       }
+      (dep, delta)
     }
-    val depId = new Array[Int](n)
-    val delta = new Array[Double](n)
-    depOut.foreach { case (i, q, dd) => depId(i) = q; delta(i) = dd }
+    val depId = Par.scatter(n, groups, depOut.map(_._1))
+    val delta = Par.scatter(n, groups, depOut.map(_._2))
     val t2 = System.nanoTime()
     bcPts.destroy(); bcBkt.destroy(); bcBof.destroy(); bcRho.destroy()
 

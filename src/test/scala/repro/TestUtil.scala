@@ -1,6 +1,9 @@
 package repro
 
+import org.apache.spark.scheduler._
+import org.apache.spark.sql.SparkSession
 import repro.core.{Jitter, Pts}
+import scala.collection.mutable
 import scala.util.Random
 
 /** Shared helpers for the unit suites: deterministic point generation and a
@@ -101,5 +104,53 @@ object TestUtil {
       if (d2 < bestD2) { bestD2 = d2; bestId = i }
     }
     (bestId, if (bestId < 0) Double.PositiveInfinity else math.sqrt(bestD2))
+  }
+
+  /** Runs `body` under its own job group and returns the number of jobs and
+    * completed stages it ran and the shuffle bytes its tasks wrote.
+    */
+  def sparkWork(spark: SparkSession)(body: => Unit): (Int, Int, Long) = {
+    val sc = spark.sparkContext
+    val group = "TestUtil-work"
+    val marker = "TestUtil-marker"
+    val jobs = mutable.Set.empty[Int]
+    val markerJobs = mutable.Set.empty[Int]
+    val stages = mutable.Set.empty[Int]
+    val completed = mutable.Set.empty[Int]
+    var shuffleBytes = 0L
+    val markerDone = new java.util.concurrent.CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")) match {
+          case Some(`group`) => jobs += e.jobId; stages ++= e.stageIds
+          case Some(`marker`) => markerJobs += e.jobId
+          case _ => ()
+        }
+      }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = synchronized {
+        if (stages.contains(e.stageInfo.stageId)) completed += e.stageInfo.stageId
+      }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+        if (stages.contains(e.stageId) && e.taskMetrics != null)
+          shuffleBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten
+      }
+      override def onJobEnd(e: SparkListenerJobEnd): Unit = synchronized {
+        if (markerJobs.contains(e.jobId)) markerDone.countDown()
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "measured work")
+      body
+      // Listener events arrive in order, so once a later job has ended every
+      // event of the measured work has been delivered.
+      sc.setJobGroup(marker, "listener bus marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(markerDone.await(30, java.util.concurrent.TimeUnit.SECONDS), "listener bus did not drain")
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+    listener.synchronized((jobs.size, completed.size, shuffleBytes))
   }
 }

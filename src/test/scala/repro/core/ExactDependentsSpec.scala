@@ -100,7 +100,8 @@ class ExactDependentsSpec extends SparkSpec {
     universe.foreach(i => rho(i) = full(i))
     val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, Array.range(0, pts.n)))
     try {
-      val out = ExactDependents.compute(spark, tree, pts, rho, universe, universe)
+      val (dep, delta) = ExactDependents.compute(spark, tree, pts, rho, universe, universe)
+      val out = Array.tabulate(universe.length)(k => (universe(k), dep(k), delta(k)))
       assert(out.toSeq === ExactDependents.compute(spark, pts, rho, universe, universe).toSeq)
       checkAll(pts, rho, universe, universe, out, q => bruteOver(pts, rho, universe, q))
     } finally tree.destroy()

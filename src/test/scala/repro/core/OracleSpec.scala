@@ -83,18 +83,4 @@ class OracleSpec extends SparkSpec {
     val res = repro.cfsfdp.CFSFDPA.run(spark, pts, DPCParams(dcut = 80.0))
     checkRho(pts, 80.0, res.rho)
   }
-
-  test("TPC-H-lite harness sanity: lineitem aggregate matches DuckDB") {
-    import org.apache.spark.sql.functions._
-    val li = repro.SynthData.lineitem(spark, sf = 0.001)
-      .select("l_returnflag", "l_quantity").cache()
-    val ours = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"), round(sum("l_quantity"), 2).as("qty"))
-    val sql =
-      """SELECT l_returnflag,
-        |       COUNT(*) AS cnt,
-        |       ROUND(SUM(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin
-    Oracle.assertEquivalent(ours, sql, "lineitem" -> li)
-  }
 }

@@ -26,4 +26,22 @@ class OrderSpec extends AnyFunSuite {
       Double.MinPositiveValue, -0.0, Double.NaN, 1e300, -1e-300, 0.0)
     assert(Order.descending(keys).toSeq === stable(keys))
   }
+
+  test("ascending equals the stable sortBy(key) on signed, sparse, extreme and repeated Long keys") {
+    val rnd = new Random(91)
+    val edge = Array(Long.MaxValue, Long.MinValue, -1L, 0L, 1L, Long.MinValue + 1, Long.MaxValue - 1, -256L, 256L)
+    val cases = Seq(
+      Array.empty[Long],
+      Array(7L),
+      edge,
+      edge ++ edge.reverse,
+      Array.tabulate(5000)(i => (i * 7919L) % 5000 - 2500),            // dense, negative and positive
+      Array.fill(5000)(rnd.nextLong()),                                 // sparse over all 64 bits
+      Array.fill(5000)(rnd.nextInt(40).toLong * 1000000007L - 20000000000L), // many ties
+      Array.tabulate(300)(i => if (i % 2 == 0) Long.MaxValue - i else Long.MinValue + i))
+    cases.foreach { keys =>
+      val stable = Array.tabulate(keys.length)(identity).sortBy(i => keys(i)).toSeq
+      assert(Order.ascending(keys).toSeq === stable, s"n=${keys.length}")
+    }
+  }
 }
