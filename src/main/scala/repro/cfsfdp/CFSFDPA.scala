@@ -7,9 +7,10 @@ import repro.kmeans.KMeans
 /** CFSFDP-A (Bai et al., Pattern Recognition 2017) — the state-of-the-art
   * *exact* baseline.
   *
-  * Preprocessing selects k pivot points as k-means centroids and materializes
-  * the full n x k point-to-pivot distance matrix (the memory hog the paper's
-  * Table 7 shows) plus, per pivot, its member list sorted by pivot distance.
+  * Preprocessing selects k = ⌈√n⌉ (at least 2, at most n) pivot points as
+  * k-means centroids and materializes the full n x k point-to-pivot distance
+  * matrix (the memory hog the paper's Table 7 shows) plus, per pivot, its
+  * member list sorted by pivot distance.
   *
   * Density of p_i: for every pivot group, the triangle inequality
   * `dist(p_i,p_j) >= |dist(p_i,c_m) - dist(p_j,c_m)|` prunes members whose
@@ -28,9 +29,7 @@ object CFSFDPA extends DPCAlgorithm {
     val n     = pts.n
     val dcut  = params.dcut
     val dcut2 = dcut * dcut
-    val k =
-      if (params.cfsfdpPivots > 0) math.min(params.cfsfdpPivots, n)
-      else math.max(2, math.min(n, math.ceil(math.sqrt(n.toDouble)).toInt))
+    val k     = math.max(2, math.min(n, math.ceil(math.sqrt(n.toDouble)).toInt))
 
     val t0 = System.nanoTime()
     val km = KMeans.fit(pts, k, iters = 5)

@@ -30,8 +30,6 @@ object Jitter {
   * @param lshTables      LSH-DDP: number of compound hash tables M
   * @param lshLen         LSH-DDP: hash functions per compound hash L
   * @param lshWidthFactor LSH-DDP: bucket width w as a multiple of dcut
-  * @param cfsfdpPivots   CFSFDP-A: number of k-means pivots (0 = ceil(sqrt(n)))
-  * @param slices         parallel work buckets (0 = Spark default parallelism)
   */
 final case class DPCParams(
     dcut: Double,
@@ -40,16 +38,11 @@ final case class DPCParams(
     epsilon: Double = 1.0,
     lshTables: Int = 4,
     lshLen: Int = 2,
-    lshWidthFactor: Double = 2.0,
-    cfsfdpPivots: Int = 0,
-    slices: Int = 0
+    lshWidthFactor: Double = 2.0
 ) {
   require(dcut > 0, "dcut must be positive")
   require(epsilon > 0, "epsilon must be positive")
   require(deltaMin > dcut, s"deltaMin ($deltaMin) must exceed dcut ($dcut) (Definition 5)")
-
-  def resolvedSlices(spark: SparkSession): Int =
-    if (slices > 0) slices else spark.sparkContext.defaultParallelism
 }
 
 /** Wall-clock decomposition mirroring Table 6: rho phase vs delta phase. */

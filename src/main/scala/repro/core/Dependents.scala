@@ -62,9 +62,12 @@ object ScanDependents {
   *
   * One [[MaxRhoKdTree]] (a kd-tree whose nodes store their subtree's largest
   * density once densities are attached) answers each query independently with
-  * a pruned nearest-neighbour search, so the queries fan out over [[Par]] with
-  * no per-query cost model. This replaces the paper's `s` density-sorted subset
-  * trees of Equation (2) and their `cost_dep` balancing; see DESIGN.md §3.
+  * a pruned nearest-neighbour search, so the queries need no per-query cost
+  * model. This replaces the paper's `s` density-sorted subset trees of
+  * Equation (2) and their `cost_dep` balancing; see DESIGN.md §3. The queries
+  * are sized by [[Par.sized]] from [[queryWork]]: a small query set runs on
+  * the driver with nothing broadcast, a large one fans out over one group per
+  * core.
   */
 object ExactDependents {
 
@@ -78,11 +81,20 @@ object ExactDependents {
     s
   }
 
+  /** Estimated steps (distance evaluations, the unit of [[Par.FanOutWork]])
+    * of one query over a universe of `u` points in `R^d`: a root-to-leaf
+    * descent of `log2 u` levels with the `2^d` neighbouring boxes of a
+    * nearest-neighbour search, and never more than the whole universe.
+    */
+  def queryWork(u: Int, d: Int): Double =
+    math.min(u.toDouble, math.pow(2.0, d) * math.log(u + 1.0) / math.log(2.0))
+
   /** For each query (must be in `universe`), the nearest universe point with
     * strictly higher density. Returns `(query, depId, delta)` triples; queries
     * with no higher-density universe point get `(-1, +inf)`. `delta` is
     * bit-identical to `pts.dist(query, depId)`; among equidistant candidates
-    * the smallest id is chosen.
+    * the smallest id is chosen. The tree over the universe is broadcast only
+    * when the queries fan out.
     */
   def compute(
       spark: SparkSession,
@@ -93,17 +105,14 @@ object ExactDependents {
   ): Array[(Int, Int, Double)] = {
     if (universe.isEmpty || queries.isEmpty)
       return queries.map(q => (q, -1, Double.PositiveInfinity))
-    val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, universe))
-    val (dep, delta) =
-      try compute(spark, tree, pts, rho, universe, queries)
-      finally tree.destroy()
+    val (dep, delta) = search(spark, MaxRhoKdTree.build(pts, universe), None, pts, rho, universe, queries)
     Array.tabulate(queries.length)(k => (queries(k), dep(k), delta(k)))
   }
 
   /** [[compute]] over an already broadcast tree that indexes at least the
     * universe, such as the one a density phase searched: only the densities
-    * and the queries are broadcast. Returns `(depId, delta)` of each query,
-    * in the order of `queries`.
+    * and the queries are broadcast, and only when the queries fan out.
+    * Returns `(depId, delta)` of each query, in the order of `queries`.
     */
   def compute(
       spark: SparkSession,
@@ -116,43 +125,74 @@ object ExactDependents {
     val m = queries.length
     if (universe.isEmpty || m == 0)
       return (Array.fill(m)(-1), Array.fill(m)(Double.PositiveInfinity))
+    search(spark, tree.value, Some(tree), pts, rho, universe, queries)
+  }
 
+  /** Both overloads: `tree` indexes at least the universe, and `shipped` is
+    * its broadcast if the caller made one.
+    */
+  private def search(
+      spark: SparkSession,
+      tree: MaxRhoKdTree,
+      shipped: Option[Broadcast[MaxRhoKdTree]],
+      pts: Pts,
+      rho: Array[Double],
+      universe: Array[Int],
+      queries: Array[Int]
+  ): (Array[Int], Array[Double]) = {
+    val m    = queries.length
     val d    = pts.d
-    val dens = tree.value.densities(rho, universe)
-    // The tasks read only the tree, its densities and the queries' own
+    val dens = tree.densities(rho, universe)
+    // The search reads only the tree, its densities and the queries' own
     // coordinates and densities.
-    val qx   = new Array[Double](queries.length * d)
+    val qx   = new Array[Double](m * d)
     var k = 0
-    while (k < queries.length) { System.arraycopy(pts.data, queries(k) * d, qx, k * d, d); k += 1 }
+    while (k < m) { System.arraycopy(pts.data, queries(k) * d, qx, k * d, d); k += 1 }
     val qRho = queries.map(rho)
 
-    val sc     = spark.sparkContext
-    val bcDens = sc.broadcast(dens)
-    val bcQ    = sc.broadcast((qx, qRho))
-
-    // A query costs microseconds, so one group per core: more tasks would
-    // only add Spark's per-task overhead.
-    val groups = Par.indexed(spark, m, oversub = 1)
-    val out = Par.mapGroups(spark, groups) { qis =>
-      val t        = tree.value
-      val dn       = bcDens.value
-      val (xs, rq) = bcQ.value
-      val q        = new Array[Double](d)
-      val dep      = new Array[Int](qis.length)
-      val dist     = new Array[Double](qis.length)
-      var k = 0
-      while (k < qis.length) {
-        val qi = qis(k)
-        System.arraycopy(xs, qi * d, q, 0, d)
-        val (j, dd) = t.denserNearest(q, rq(qi), dn)
-        dep(k) = j
-        dist(k) = dd
-        k += 1
+    val groups = Par.sized(spark, m, m * queryWork(universe.length, d))
+    val out =
+      if (Par.onDriver(groups)) Par.mapGroups(spark, groups)(nearestDenser(tree, dens, qx, qRho, d, _))
+      else {
+        val sc     = spark.sparkContext
+        val bcTree = shipped.getOrElse(sc.broadcast(tree))
+        val bcDens = sc.broadcast(dens)
+        val bcQ    = sc.broadcast((qx, qRho))
+        try Par.mapGroups(spark, groups) { qis =>
+          val (xs, rq) = bcQ.value
+          nearestDenser(bcTree.value, bcDens.value, xs, rq, d, qis)
+        } finally {
+          bcDens.destroy(); bcQ.destroy()
+          if (shipped.isEmpty) bcTree.destroy()
+        }
       }
-      (dep, dist)
-    }
-    bcDens.destroy(); bcQ.destroy()
     (Par.scatter(m, groups, out.map(_._1)), Par.scatter(m, groups, out.map(_._2)))
+  }
+
+  /** `(depId, delta)` of the queries at positions `qis` of `xs` (row-major,
+    * `d` per query) and `rq`, in the order of `qis`.
+    */
+  private def nearestDenser(
+      t: MaxRhoKdTree,
+      dens: MaxRhoKdTree.Densities,
+      xs: Array[Double],
+      rq: Array[Double],
+      d: Int,
+      qis: Array[Int]
+  ): (Array[Int], Array[Double]) = {
+    val q    = new Array[Double](d)
+    val dep  = new Array[Int](qis.length)
+    val dist = new Array[Double](qis.length)
+    var k = 0
+    while (k < qis.length) {
+      val qi = qis(k)
+      System.arraycopy(xs, qi * d, q, 0, d)
+      val (j, dd) = t.denserNearest(q, rq(qi), dens)
+      dep(k) = j
+      dist(k) = dd
+      k += 1
+    }
+    (dep, dist)
   }
 
   /** Modelled footprint of the search's kd-tree over `m` points in `R^d`. */

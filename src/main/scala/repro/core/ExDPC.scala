@@ -24,12 +24,12 @@ object ExDPC extends DPCAlgorithm {
 
     val t0   = System.nanoTime()
     val tree = new KdTree(pts).buildAll()
-    val bcPts  = spark.sparkContext.broadcast(pts)
+    // The tree holds the points, so they are shipped once, inside it.
     val bcTree = spark.sparkContext.broadcast(tree)
     val groups = Par.indexed(spark, n)
     val rho = Par.scatter(n, groups, Par.mapGroups(spark, groups) { idxs =>
-      val p   = bcPts.value
       val t   = bcTree.value
+      val p   = t.pts
       val q   = new Array[Double](p.d)
       val out = new Array[Double](idxs.length)
       var k = 0
@@ -43,7 +43,7 @@ object ExDPC extends DPCAlgorithm {
       out
     })
     val memDensity = tree.memBytes
-    bcPts.destroy(); bcTree.destroy()
+    bcTree.destroy()
     val t1 = System.nanoTime()
 
     // Sequential incremental phase (driver = the single thread of §3).

@@ -19,8 +19,31 @@ import scala.reflect.ClassTag
   *    scheduler balances dynamically.
   *  - [[ranges]] — deliberately *unbalanced* static contiguous ranges,
   *    reproducing LSH-DDP's hash partitioning that the paper criticizes.
+  *
+  * Granularity (OpenMP's `parallel if(...)`): a call with a single group runs
+  * on the driver with no Spark job, and [[sized]] gives a phase one group when
+  * its estimated work is below the cost of a fan-out, [[FanOutWork]].
   */
 object Par {
+
+  /** Estimated work, in steps of one distance evaluation in a tree search,
+    * below which one [[mapGroups]] fan-out costs more than doing the work on
+    * the driver. Measured on a 4-vCPU VM (`local[4]`): a no-op `Par` call
+    * (the benchmark's `par.noop_ms`) takes 20–30 ms, and one thread answers
+    * `ExactDependents` queries at 14–20 ns per estimated step (Approx-DPC's
+    * 610 undecided 2-d points over 20k in 0.7 ms, its 5,897 3-d ones over 75k
+    * in 15 ms). The smaller fan-out cost over the larger step cost,
+    * 20 ms / 20 ns, gives 1e6 steps.
+    */
+  val FanOutWork: Double = 1e6
+
+  /** Round-robin groups of `0 until n` for a phase whose total work is
+    * estimated at `work` steps (see [[FanOutWork]]): one group, which
+    * [[mapGroups]] runs on the driver, when the work is below [[FanOutWork]];
+    * otherwise one group per core.
+    */
+  def sized(spark: SparkSession, n: Int, work: Double): Array[Array[Int]] =
+    roundRobin(n, if (work < FanOutWork) 1 else spark.sparkContext.defaultParallelism)
 
   /** Graham's LPT greedy: assign `costs.length` items to `buckets` groups,
     * largest item first (equal costs by ascending index) onto the least-loaded
@@ -48,9 +71,13 @@ object Par {
   /** `0 until n` dealt round-robin into `oversub` groups per core (at most
     * `n` groups): group g holds `g, g + parts, g + 2 * parts, ...`.
     */
-  def indexed(spark: SparkSession, n: Int, oversub: Int = 4): Array[Array[Int]] = {
-    val parts = math.min(n, spark.sparkContext.defaultParallelism * oversub)
-    Array.tabulate(parts)(g => Array.range(g, n, parts))
+  def indexed(spark: SparkSession, n: Int, oversub: Int = 4): Array[Array[Int]] =
+    roundRobin(n, spark.sparkContext.defaultParallelism * oversub)
+
+  /** `0 until n` dealt round-robin into `min(n, parts)` groups. */
+  private def roundRobin(n: Int, parts: Int): Array[Array[Int]] = {
+    val p = math.min(n, parts)
+    Array.tabulate(p)(g => Array.range(g, n, p))
   }
 
   /** `0 until n` cut into at most `parts` contiguous ranges of equal length
@@ -62,11 +89,18 @@ object Par {
     Array.tabulate(p)(g => Array.range(g * step, math.min(n, (g + 1) * step))).filter(_.nonEmpty)
   }
 
+  /** Whether [[mapGroups]] runs `groups` on the driver: then a caller has
+    * nothing to broadcast for it.
+    */
+  def onDriver(groups: Array[Array[Int]]): Boolean = groups.length == 1
+
   /** Runs `f` once on each group, each group in its own Spark task of one
-    * RDD stage with no shuffle, and returns the results in group order.
+    * RDD stage with no shuffle, and returns the results in group order. A
+    * single group runs as `f` on the driver, with no Spark job.
     */
   def mapGroups[T: ClassTag](spark: SparkSession, groups: Array[Array[Int]])(f: Array[Int] => T): Array[T] =
     if (groups.isEmpty) Array.empty[T]
+    else if (onDriver(groups)) Array(f(groups(0)))
     else spark.sparkContext.parallelize(groups.toSeq, groups.length).map(f).collect()
 
   /** [[mapGroups]] over the [[indexed]] groups, with each group's results

@@ -15,12 +15,12 @@ object RTreeScanDPC extends DPCAlgorithm {
 
     val t0   = System.nanoTime()
     val tree = new RTree(pts).buildAll()
-    val bcPts  = spark.sparkContext.broadcast(pts)
+    // The tree holds the points, so they are shipped once, inside it.
     val bcTree = spark.sparkContext.broadcast(tree)
     val groups = Par.indexed(spark, n)
     val rho = Par.scatter(n, groups, Par.mapGroups(spark, groups) { idxs =>
-      val p   = bcPts.value
       val t   = bcTree.value
+      val p   = t.pts
       val out = new Array[Double](idxs.length)
       var k = 0
       while (k < idxs.length) {
@@ -37,7 +37,7 @@ object RTreeScanDPC extends DPCAlgorithm {
     val (depId, delta) = ScanDependents.compute(spark, pts, rho)
     val t2 = System.nanoTime()
     val mem = tree.memBytes
-    bcPts.destroy(); bcTree.destroy()
+    bcTree.destroy()
 
     new DPCResult(rho, depId, delta,
       PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), mem)

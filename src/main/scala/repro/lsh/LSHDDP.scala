@@ -16,8 +16,8 @@ import scala.collection.mutable
   * full scan of P computes the exact dependent point. Faithfully reproduced
   * quirks: densities are approximate (so dependent choices can be wrong w.r.t.
   * exact densities — the artifact visible in the paper's Fig. 6(c)), and work
-  * is split into *static* contiguous ranges with no load balancing (the flaw
-  * §1 calls out).
+  * is split into *static* contiguous ranges, one per core, with no load
+  * balancing (the flaw §1 calls out).
   */
 object LSHDDP extends DPCAlgorithm {
   override val name = "LSH-DDP"
@@ -52,7 +52,7 @@ object LSHDDP extends DPCAlgorithm {
     val bcPts = sc.broadcast(pts)
     val bcBkt = sc.broadcast(buckets)
     val bcBof = sc.broadcast(bucketOf)
-    val groups = Par.ranges(n, params.resolvedSlices(spark))
+    val groups = Par.ranges(n, sc.defaultParallelism)
 
     /** Distinct bucket mates of i across the M tables (excluding i). */
     def candidates(p: Pts, bkt: Array[Array[Array[Int]]], bof: Array[Array[Int]], i: Int): Array[Int] = {

@@ -11,8 +11,14 @@ class ExactAlgosSpec extends SparkSpec {
 
   private def checkAgainstBrute(res: DPCResult, pts: Pts, dcut: Double, algo: String): Unit = {
     val rhoB = TestUtil.bruteRho(pts, dcut)
+    checkAgainst(res, pts, rhoB, TestUtil.bruteDependents(pts, rhoB)._2, algo)
+  }
+
+  /** `rho` equal to `rhoB`, `delta` within 1e-7 of `deltaB`, every dependent
+    * point denser.
+    */
+  private def checkAgainst(res: DPCResult, pts: Pts, rhoB: Array[Double], deltaB: Array[Double], algo: String): Unit = {
     assert(res.rho.toSeq === rhoB.toSeq, s"$algo: densities differ from brute force")
-    val (_, deltaB) = TestUtil.bruteDependents(pts, rhoB)
     var i = 0
     while (i < pts.n) {
       if (deltaB(i).isInfinity) assert(res.delta(i).isInfinity, s"$algo: point $i should be the peak")
@@ -52,6 +58,22 @@ class ExactAlgosSpec extends SparkSpec {
     }
     test(s"CFSFDP-A matches brute force ($tag)") {
       checkAgainstBrute(CFSFDPA.run(spark, pts, DPCParams(dcut)), pts, dcut, "CFSFDP-A")
+    }
+  }
+
+  // Step 10 and dcut 20: about 9 copies per position, and every pair two
+  // steps apart lies exactly at dcut (as in ApproxDPCSpec).
+  private lazy val dup = {
+    val pts  = TestUtil.quantizedPts(20000, 2, k = 4, sigma = 40.0, domain = 1000.0, step = 10.0, seed = 650)
+    val rhoB = TestUtil.bruteRho(pts, 20.0)
+    (pts, rhoB, TestUtil.bruteDependents(pts, rhoB)._2)
+  }
+
+  for (algo <- Seq[DPCAlgorithm](ScanDPC, RTreeScanDPC, CFSFDPA)) {
+    test(s"${algo.name}: 20k duplicate-heavy points on a quantized grid match brute force") {
+      val (pts, rhoB, deltaB) = dup
+      assert(TestUtil.distinctPositions(pts) < pts.n / 4)
+      checkAgainst(algo.run(spark, pts, DPCParams(dcut = 20.0)), pts, rhoB, deltaB, algo.name)
     }
   }
 

@@ -41,6 +41,73 @@ class ExactDependentsSpec extends SparkSpec {
     }
   }
 
+  /** Number of broadcasts `body` makes: Spark numbers broadcasts in order,
+    * and a Spark job makes at least one, for its task binary.
+    */
+  private def broadcastsIn(body: => Unit): Long = {
+    val sc     = spark.sparkContext
+    val before = sc.broadcast(0)
+    body
+    val after  = sc.broadcast(0)
+    before.destroy(); after.destroy()
+    after.id - before.id - 1
+  }
+
+  // Duplicate-heavy 3-d points (step 10, dcut 20: many points share a
+  // position, so equidistant denser candidates are common), with a small
+  // query set and the smallest query set whose estimated work reaches
+  // Par.FanOutWork, spread over the whole universe.
+  private lazy val dup3 = {
+    val pts   = TestUtil.quantizedPts(20000, 3, k = 4, sigma = 40.0, domain = 1000.0, step = 10.0, seed = 818)
+    val rho   = TestUtil.bruteRho(pts, 20.0)
+    val all   = Array.range(0, pts.n)
+    val big   = math.ceil(Par.FanOutWork / ExactDependents.queryWork(pts.n, pts.d)).toInt
+    val small = Array.range(0, pts.n, 97)
+    (pts, rho, all, small, Array.tabulate(big)(k => (k.toLong * pts.n / big).toInt))
+  }
+
+  test("a small query set runs on the driver: no Spark job and no broadcast") {
+    val (pts, rho, all, small, _) = dup3
+    assert(small.length * ExactDependents.queryWork(pts.n, pts.d) < Par.FanOutWork)
+    var out = Array.empty[(Int, Int, Double)]
+    var dep = Array.empty[Int]
+    val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, all))
+    try {
+      assert(TestUtil.sparkWork(spark) {
+        assert(broadcastsIn { out = ExactDependents.compute(spark, pts, rho, all, small) } === 0)
+        assert(broadcastsIn { dep = ExactDependents.compute(spark, tree, pts, rho, all, small)._1 } === 0)
+      } === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
+    } finally tree.destroy()
+    assert(out.map(_._2).toSeq === dep.toSeq)
+  }
+
+  test("a query set whose estimated work reaches Par.FanOutWork runs one job of one stage with no shuffle") {
+    val (pts, rho, all, _, big) = dup3
+    assert(big.length * ExactDependents.queryWork(pts.n, pts.d) >= Par.FanOutWork)
+    assert((big.length - 1) * ExactDependents.queryWork(pts.n, pts.d) < Par.FanOutWork)
+    // One group per core: on a single core that one group runs on the driver.
+    val expected = if (spark.sparkContext.defaultParallelism > 1) (1, 1, 0L) else (0, 0, 0L)
+    val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, all))
+    try {
+      assert(TestUtil.sparkWork(spark)(ExactDependents.compute(spark, pts, rho, all, big)) === expected)
+      assert(TestUtil.sparkWork(spark)(ExactDependents.compute(spark, tree, pts, rho, all, big)) === expected)
+    } finally tree.destroy()
+  }
+
+  test("the driver path and the fan-out path match brute force bit for bit, ties to the smallest id") {
+    val (pts, rho, all, small, big) = dup3
+    val (depB, deltaB) = TestUtil.bruteDependents(pts, rho)
+    for (queries <- Seq(small, big)) {
+      val out = ExactDependents.compute(spark, pts, rho, all, queries)
+      checkAll(pts, rho, all, queries, out, q => (depB(q), deltaB(q)))
+    }
+    // The tie rule is exercised: some query has two denser points at its delta.
+    val tied = small.count { q =>
+      depB(q) >= 0 && all.count(j => rho(j) > rho(q) && pts.dist(q, j) == deltaB(q)) > 1
+    }
+    assert(tied > 0)
+  }
+
   test("20k duplicate-heavy points on a coarse 2-d grid match brute force") {
     val rnd = new Random(811)
     val pts = Pts.fromArrays(2, Seq.fill(20000)(Array(rnd.nextInt(25) * 40.0, rnd.nextInt(25) * 40.0)))

@@ -80,7 +80,7 @@ class ParSpec extends SparkSpec {
   }
 
   test("mapGroups runs each LPT group in its own task") {
-    val b      = spark.sparkContext.defaultParallelism
+    val b      = math.max(2, spark.sparkContext.defaultParallelism) // one group would run on the driver
     val costs  = Array.fill(400)(1.0)
     val groups = Par.lpt(costs, b)
     val seen   = Par.mapGroups(spark, groups)(taskOfGroup)
@@ -104,7 +104,7 @@ class ParSpec extends SparkSpec {
   test("one Par call runs one job of one stage and writes no shuffle bytes") {
     val sc = spark.sparkContext
     val work = TestUtil.sparkWork(spark) {
-      val groups = Par.lpt(Array.tabulate(400)(i => (i % 5 + 1).toDouble), sc.defaultParallelism)
+      val groups = Par.lpt(Array.tabulate(400)(i => (i % 5 + 1).toDouble), math.max(2, sc.defaultParallelism))
       val out    = Par.mapGroups(spark, groups)(idxs => idxs.map(_ * 0.5))
       assert(Par.scatter(400, groups, out).toSeq === (0 until 400).map(_ * 0.5))
     }
@@ -119,6 +119,36 @@ class ParSpec extends SparkSpec {
     assert(seen.map(_._2).toSeq === groups.map(_.toSeq).toSeq)
     assertOneTaskPerGroup(seen, groups.map(_.toSeq).toSeq)
     assert(Par.mapGroups(spark, Array.empty[Array[Int]])(_.length).isEmpty)
+  }
+
+  test("a one-group call runs f on the driver with no Spark job and returns what the Spark path returns") {
+    val group  = Array(5, 1, 0, 7, 2)
+    val f      = (idxs: Array[Int]) => (TaskContext.get() == null, idxs.map(i => i * 0.5 + 1.0))
+    var local  = Array.empty[(Boolean, Array[Double])]
+    val work   = TestUtil.sparkWork(spark) { local = Par.mapGroups(spark, Array(group))(f) }
+    assert(work === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
+    // The same group next to an empty one takes the Spark path.
+    val fanned = Par.mapGroups(spark, Array(group, Array.empty[Int]))(f)
+    assert(local.length === 1)
+    assert(local(0)._1, "f ran inside a Spark task")
+    assert(!fanned(0)._1, "f did not run inside a Spark task")
+    assert(local(0)._2.toSeq === fanned(0)._2.toSeq)
+    assert(Par.scatter(8, Array(group), Array(local(0)._2)).toSeq ===
+      Par.scatter(8, Array(group, Array.empty[Int]), fanned.map(_._2)).toSeq)
+  }
+
+  test("sized gives one group below FanOutWork and one round-robin group per core from it on") {
+    val cores = spark.sparkContext.defaultParallelism
+    val below = Par.sized(spark, 100, Par.FanOutWork - 1)
+    assert(below.map(_.toSeq).toSeq === Seq(0 until 100))
+    assert(Par.onDriver(below))
+    assert(TestUtil.sparkWork(spark)(Par.mapGroups(spark, below)(_.sum)) === ((0, 0, 0L)))
+    val above = Par.sized(spark, 100, Par.FanOutWork)
+    assert(above.map(_.toSeq).toSeq === Par.indexed(spark, 100, oversub = 1).map(_.toSeq).toSeq)
+    assert(above.length === math.min(100, cores))
+    assert(Par.onDriver(above) === (cores == 1))
+    assert(Par.sized(spark, 2, 1e12).length === math.min(2, cores))
+    assert(Par.sized(spark, 0, 0.0).isEmpty && Par.sized(spark, 0, 1e12).isEmpty)
   }
 
   test("lpt breaks ties by item index and then by the lowest group index") {

@@ -72,6 +72,17 @@ class LSHDDPSpec extends SparkSpec {
     assert(r8.memBytes > r2.memBytes)
   }
 
+  test("20k duplicate-heavy points on a quantized grid: one root, every dependent point denser") {
+    val pts = TestUtil.quantizedPts(20000, 2, k = 4, sigma = 40.0, domain = 1000.0, step = 10.0, seed = 650)
+    assert(TestUtil.distinctPositions(pts) < pts.n / 4)
+    val res = LSHDDP.run(spark, pts, DPCParams(dcut = 20.0))
+    assert(res.depId.count(_ < 0) === 1)
+    assert(res.delta.count(_.isInfinity) === 1)
+    (0 until pts.n).foreach { i =>
+      if (res.depId(i) >= 0) assert(res.rho(res.depId(i)) > res.rho(i), s"dep of $i not denser")
+    }
+  }
+
   test("degenerate input: n=1") {
     val one = Pts.fromArrays(2, Seq(Array(1.0, 1.0)))
     val r   = LSHDDP.run(spark, one, DPCParams(dcut = 1.0))
