@@ -62,16 +62,12 @@ object CFSFDPA extends DPCAlgorithm {
     val bcSM  = sc.broadcast(sortedMembers)
     val bcSD  = sc.broadcast(sortedDists)
 
-    val rhoGroups = Par.indexed(spark, n)
-    val rho = Par.scatter(n, rhoGroups, Par.mapGroups(spark, rhoGroups) { idxs =>
-      val p   = bcPts.value
-      val pd  = bcPD.value
-      val sm  = bcSM.value
-      val sd  = bcSD.value
-      val out = new Array[Double](idxs.length)
-      var w = 0
-      while (w < idxs.length) {
-        val qi  = idxs(w)
+    val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+      val p  = bcPts.value
+      val pd = bcPD.value
+      val sm = bcSM.value
+      val sd = bcSD.value
+      qi => {
         var cnt = 0
         var mm = 0
         while (mm < sm.length) {
@@ -89,14 +85,12 @@ object CFSFDPA extends DPCAlgorithm {
           }
           mm += 1
         }
-        out(w) = cnt + Jitter.frac(qi)
-        w += 1
+        cnt
       }
-      out
-    })
+    }
     val t1 = System.nanoTime()
 
-    val (depId, delta) = ScanDependents.compute(spark, pts, rho)
+    val (depId, delta) = ScanDependents.compute(spark, bcPts, rho)
     val t2 = System.nanoTime()
     bcPts.destroy(); bcPD.destroy(); bcSM.destroy(); bcSD.destroy()
 

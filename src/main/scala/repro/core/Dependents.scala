@@ -13,14 +13,21 @@ object ScanDependents {
 
   /** Returns `(depId, delta)`; the top-density point gets `(-1, +inf)`. */
   def compute(spark: SparkSession, pts: Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
-    val n     = pts.n
+    val bcPts = spark.sparkContext.broadcast(pts)
+    try compute(spark, bcPts, rho) finally bcPts.destroy()
+  }
+
+  /** [[compute]] over a point set the caller has already broadcast, such as
+    * the one its density phase read, so the points are shipped once per run.
+    */
+  def compute(spark: SparkSession, bcPts: Broadcast[Pts], rho: Array[Double]): (Array[Int], Array[Double]) = {
+    val n     = rho.length
     val order = Order.descending(rho)
     val rank  = new Array[Int](n)
     var r = 0
     while (r < n) { rank(order(r)) = r; r += 1 }
 
     val sc      = spark.sparkContext
-    val bcPts   = sc.broadcast(pts)
     val bcOrder = sc.broadcast(order)
     val bcRank  = sc.broadcast(rank)
 
@@ -52,7 +59,7 @@ object ScanDependents {
       }
       (dep, delta)
     }
-    bcPts.destroy(); bcOrder.destroy(); bcRank.destroy()
+    bcOrder.destroy(); bcRank.destroy()
     (Par.scatter(n, groups, out.map(_._1)), Par.scatter(n, groups, out.map(_._2)))
   }
 }

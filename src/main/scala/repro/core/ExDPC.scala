@@ -1,13 +1,13 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.kdtree.KdTree
+import repro.kdtree.{KdTree, MaxRhoKdTree}
 
 /** Ex-DPC (§3): the exact algorithm.
   *
-  * Densities: one kd-tree range count per point, parallelized across Spark
-  * tasks with dynamic oversubscription (the paper's
-  * `omp parallel for schedule(dynamic)`).
+  * Densities: one range count per point on a static [[MaxRhoKdTree]] through
+  * [[Density]], parallelized across Spark tasks with dynamic oversubscription
+  * (the paper's `omp parallel for schedule(dynamic)`).
   *
   * Dependent points: the kd-tree is destroyed and rebuilt *incrementally* in
   * descending density order — when point p is processed the tree holds exactly
@@ -20,30 +20,23 @@ object ExDPC extends DPCAlgorithm {
   override val name = "Ex-DPC"
 
   override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
-    val n = pts.n
+    val n    = pts.n
+    val dcut = params.dcut
 
-    val t0   = System.nanoTime()
-    val tree = new KdTree(pts).buildAll()
-    // The tree holds the points, so they are shipped once, inside it.
+    val t0     = System.nanoTime()
+    val tree   = MaxRhoKdTree.build(pts, Array.range(0, n))
     val bcTree = spark.sparkContext.broadcast(tree)
-    val groups = Par.indexed(spark, n)
-    val rho = Par.scatter(n, groups, Par.mapGroups(spark, groups) { idxs =>
-      val t   = bcTree.value
-      val p   = t.pts
-      val q   = new Array[Double](p.d)
-      val out = new Array[Double](idxs.length)
-      var k = 0
-      while (k < idxs.length) {
-        val i = idxs(k)
+    val bcPts  = spark.sparkContext.broadcast(pts)
+    val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+      val t = bcTree.value
+      val p = bcPts.value
+      val q = new Array[Double](p.d)
+      i => {
         System.arraycopy(p.data, i * p.d, q, 0, p.d)
-        val cnt = t.rangeCount(q, params.dcut) - 1 // exclude the point itself
-        out(k) = cnt + Jitter.frac(i)
-        k += 1
+        t.rangeCount(q, dcut) - 1 // exclude the point itself
       }
-      out
-    })
-    val memDensity = tree.memBytes
-    bcTree.destroy()
+    }
+    bcTree.destroy(); bcPts.destroy()
     val t1 = System.nanoTime()
 
     // Sequential incremental phase (driver = the single thread of §3).
@@ -69,6 +62,6 @@ object ExDPC extends DPCAlgorithm {
 
     new DPCResult(rho, depId, delta,
       PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L),
-      math.max(memDensity, inc.memBytes))
+      math.max(tree.memBytes, inc.memBytes))
   }
 }

@@ -11,27 +11,18 @@ object RTreeScanDPC extends DPCAlgorithm {
   override val name = "R-tree + Scan"
 
   override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
-    val n = pts.n
+    val n    = pts.n
+    val dcut = params.dcut
 
     val t0   = System.nanoTime()
     val tree = new RTree(pts).buildAll()
     // The tree holds the points, so they are shipped once, inside it.
     val bcTree = spark.sparkContext.broadcast(tree)
-    val groups = Par.indexed(spark, n)
-    val rho = Par.scatter(n, groups, Par.mapGroups(spark, groups) { idxs =>
-      val t   = bcTree.value
-      val p   = t.pts
-      val out = new Array[Double](idxs.length)
-      var k = 0
-      while (k < idxs.length) {
-        val i = idxs(k)
-        // rangeCount includes the query point itself (distance 0): subtract it.
-        val cnt = t.rangeCount(p.point(i), params.dcut) - 1
-        out(k) = cnt + Jitter.frac(i)
-        k += 1
-      }
-      out
-    })
+    val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+      val t = bcTree.value
+      // rangeCount includes the query point itself (distance 0): subtract it.
+      i => t.rangeCount(t.pts.point(i), dcut) - 1
+    }
     val t1 = System.nanoTime()
 
     val (depId, delta) = ScanDependents.compute(spark, pts, rho)

@@ -15,27 +15,21 @@ object ScanDPC extends DPCAlgorithm {
 
     val t0    = System.nanoTime()
     val bcPts = spark.sparkContext.broadcast(pts)
-    val groups = Par.indexed(spark, n)
-    val rho = Par.scatter(n, groups, Par.mapGroups(spark, groups) { idxs =>
-      val p   = bcPts.value
-      val out = new Array[Double](idxs.length)
-      var k = 0
-      while (k < idxs.length) {
-        val i = idxs(k)
+    val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+      val p = bcPts.value
+      i => {
         var cnt = 0
         var j = 0
         while (j < p.n) {
           if (j != i && p.dist2(i, j) < dcut2) cnt += 1
           j += 1
         }
-        out(k) = cnt + Jitter.frac(i)
-        k += 1
+        cnt
       }
-      out
-    })
+    }
     val t1 = System.nanoTime()
 
-    val (depId, delta) = ScanDependents.compute(spark, pts, rho)
+    val (depId, delta) = ScanDependents.compute(spark, bcPts, rho)
     val t2 = System.nanoTime()
     bcPts.destroy()
 

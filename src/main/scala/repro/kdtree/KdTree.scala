@@ -1,16 +1,15 @@
 package repro.kdtree
 
 import repro.core.Pts
-import scala.collection.mutable
 
 /** In-memory kd-tree over a [[Pts]] set (Bentley 1975).
   *
-  * Supports the three operations the paper's algorithms need:
-  *
-  *  - balanced bulk build ([[buildFrom]]) — median split, cycling axes;
-  *  - incremental insert ([[insert]]) — used by Ex-DPC's dependent-point phase,
-  *    which rebuilds "an optimal kd-tree incrementally" in density order;
-  *  - range count/report and bounded nearest-neighbour search.
+  * Serves Ex-DPC's dependent-point phase, which rebuilds "an optimal kd-tree
+  * incrementally" in density order: incremental [[insert]] and bounded
+  * nearest-neighbour search ([[nearest]]). A balanced bulk build
+  * ([[buildFrom]], median split, cycling axes) and a strict [[rangeCount]]
+  * remain for the benchmark's layer timings; every density phase counts on
+  * [[MaxRhoKdTree]] instead.
   *
   * Layout is flat, one point per node: node `k` is row `k` of the arrays
   * `id`, `axis`, `left` and `right` (child rows, -1 for none), and its point's
@@ -142,35 +141,6 @@ final class KdTree(val pts: Pts) extends Serializable {
       if (nd < 0 && top > 0) { top -= 1; nd = stack(top) }
     }
     c
-  }
-
-  /** Report ids with dist(q, p) <= r (inclusive — used for the joint range
-    * search's superset, where over-reporting is safe).
-    */
-  def rangeSearch(q: Array[Double], r: Double): Array[Int] = {
-    val out   = new mutable.ArrayBuilder.ofInt
-    val r2    = r * r
-    val xs    = this.xs
-    val axis  = this.axis
-    val left  = this.left
-    val right = this.right
-    var stack = new Array[Int](KdTree.StackInit)
-    var top   = 0
-    var nd    = if (count0 > 0) 0 else -1
-    while (nd >= 0) {
-      if (dist2(xs, nd, q) <= r2) out += id(nd)
-      val ax   = axis(nd)
-      val diff = q(ax) - xs(nd * d + ax)
-      val far  = if (diff < 0) (if (-diff <= r) right(nd) else -1) else (if (diff <= r) left(nd) else -1)
-      if (far >= 0) {
-        if (top == stack.length) stack = java.util.Arrays.copyOf(stack, 2 * top)
-        stack(top) = far
-        top += 1
-      }
-      nd = if (diff < 0) left(nd) else right(nd)
-      if (nd < 0 && top > 0) { top -= 1; nd = stack(top) }
-    }
-    out.result()
   }
 
   /** Nearest neighbour of `q` in the tree, with an optional initial distance

@@ -76,8 +76,8 @@ final class MaxRhoKdTree private (
     d2
   }
 
-  /** Ids with dist(q, p) <= r, the same set as [[KdTree.rangeSearch]]. A node
-    * whose box lies inside the ball contributes its whole leaf slice.
+  /** Ids with dist(q, p) <= r. A node whose box lies inside the ball
+    * contributes its whole leaf slice.
     */
   def rangeSearch(q: Array[Double], r: Double): Array[Int] = {
     val r2    = r * r
@@ -216,6 +216,11 @@ final class MaxRhoKdTree private (
     }
     if (bestId < 0) (-1, Double.PositiveInfinity) else (bestId, math.sqrt(bestD2))
   }
+
+  /** Modelled footprint of the geometry alone, as [[MaxRhoKdTree.memBytes]]
+    * without the densities.
+    */
+  def memBytes: Long = perm.length.toLong * (4L + 8L * d) + first.length.toLong * (12L + 16L * d)
 }
 
 object MaxRhoKdTree {

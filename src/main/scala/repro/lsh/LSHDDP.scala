@@ -76,23 +76,18 @@ object LSHDDP extends DPCAlgorithm {
       java.util.Arrays.copyOf(all, w)
     }
 
-    val rho = Par.scatter(n, groups, Par.mapGroups(spark, groups) { idxs =>
+    val rho = Density.rho(spark, n, groups) { () =>
       val p   = bcPts.value
       val bkt = bcBkt.value
       val bof = bcBof.value
-      val out = new Array[Double](idxs.length)
-      var k = 0
-      while (k < idxs.length) {
-        val i    = idxs(k)
+      i => {
         val cand = candidates(p, bkt, bof, i)
         var cnt = 0
         var z = 0
         while (z < cand.length) { if (p.dist2(i, cand(z)) < dcut2) cnt += 1; z += 1 }
-        out(k) = cnt + Jitter.frac(i)
-        k += 1
+        cnt
       }
-      out
-    })
+    }
     val t1 = System.nanoTime()
 
     // Dependent: nearest denser bucket mate, else exact full scan.

@@ -106,6 +106,18 @@ object TestUtil {
     (bestId, if (bestId < 0) Double.PositiveInfinity else math.sqrt(bestD2))
   }
 
+  /** Number of broadcasts `body` makes: Spark numbers broadcasts in order,
+    * and each Spark stage makes one, for its task binary.
+    */
+  def broadcastsIn(spark: SparkSession)(body: => Unit): Long = {
+    val sc     = spark.sparkContext
+    val before = sc.broadcast(0)
+    body
+    val after  = sc.broadcast(0)
+    before.destroy(); after.destroy()
+    after.id - before.id - 1
+  }
+
   /** Runs `body` under its own job group and returns the number of jobs and
     * completed stages it ran and the shuffle bytes its tasks wrote.
     */

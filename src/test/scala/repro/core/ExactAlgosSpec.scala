@@ -69,11 +69,26 @@ class ExactAlgosSpec extends SparkSpec {
     (pts, rhoB, TestUtil.bruteDependents(pts, rhoB)._2)
   }
 
-  for (algo <- Seq[DPCAlgorithm](ScanDPC, RTreeScanDPC, CFSFDPA)) {
+  for (algo <- Seq[DPCAlgorithm](ScanDPC, RTreeScanDPC, CFSFDPA, ExDPC)) {
     test(s"${algo.name}: 20k duplicate-heavy points on a quantized grid match brute force") {
       val (pts, rhoB, deltaB) = dup
       assert(TestUtil.distinctPositions(pts) < pts.n / 4)
       checkAgainst(algo.run(spark, pts, DPCParams(dcut = 20.0)), pts, rhoB, deltaB, algo.name)
+    }
+  }
+
+  // Scan's dependent phase reads the point set its density phase broadcast.
+  // Besides one task binary per Spark stage, a Scan run broadcasts the points
+  // and the dependent phase's order and rank; CFSFDP-A adds its three pivot
+  // structures.
+  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 2), (CFSFDPA, 5))) {
+    test(s"${algo.name} broadcasts the point set once per run") {
+      val pts = TestUtil.clusteredPts(2000, 2, k = 3, sigma = 30.0, domain = 1000.0, seed = 512)
+      var bcasts = 0L
+      val (_, stages, _) = TestUtil.sparkWork(spark) {
+        bcasts = TestUtil.broadcastsIn(spark)(algo.run(spark, pts, DPCParams(dcut = 40.0)))
+      }
+      assert(bcasts === stages + 1 + others)
     }
   }
 

@@ -41,18 +41,6 @@ class ExactDependentsSpec extends SparkSpec {
     }
   }
 
-  /** Number of broadcasts `body` makes: Spark numbers broadcasts in order,
-    * and a Spark job makes at least one, for its task binary.
-    */
-  private def broadcastsIn(body: => Unit): Long = {
-    val sc     = spark.sparkContext
-    val before = sc.broadcast(0)
-    body
-    val after  = sc.broadcast(0)
-    before.destroy(); after.destroy()
-    after.id - before.id - 1
-  }
-
   // Duplicate-heavy 3-d points (step 10, dcut 20: many points share a
   // position, so equidistant denser candidates are common), with a small
   // query set and the smallest query set whose estimated work reaches
@@ -74,8 +62,8 @@ class ExactDependentsSpec extends SparkSpec {
     val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, all))
     try {
       assert(TestUtil.sparkWork(spark) {
-        assert(broadcastsIn { out = ExactDependents.compute(spark, pts, rho, all, small) } === 0)
-        assert(broadcastsIn { dep = ExactDependents.compute(spark, tree, pts, rho, all, small)._1 } === 0)
+        assert(TestUtil.broadcastsIn(spark) { out = ExactDependents.compute(spark, pts, rho, all, small) } === 0)
+        assert(TestUtil.broadcastsIn(spark) { dep = ExactDependents.compute(spark, tree, pts, rho, all, small)._1 } === 0)
       } === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
     } finally tree.destroy()
     assert(out.map(_._2).toSeq === dep.toSeq)
