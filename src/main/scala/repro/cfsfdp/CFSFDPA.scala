@@ -90,7 +90,7 @@ object CFSFDPA extends DPCAlgorithm {
     }
     val t1 = System.nanoTime()
 
-    val (depId, delta) = ScanDependents.compute(spark, bcPts, rho)
+    val (depId, delta) = ScanDependents.compute(spark, () => bcPts.value, rho)
     val t2 = System.nanoTime()
     bcPts.destroy(); bcPD.destroy(); bcSM.destroy(); bcSD.destroy()
 

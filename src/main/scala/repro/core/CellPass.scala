@@ -1,15 +1,18 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.sql.SparkSession
+import repro.grid.Grid
+import repro.kdtree.MaxRhoKdTree
 import scala.collection.mutable
 
-/** Output of one density task of Approx-DPC or S-Approx-DPC for its group of
-  * grid cells, as flat arrays in group order.
+/** Output of one density task of the grid pass for its group of grid cells,
+  * as flat arrays in group order.
   *
-  * @param rhos   the densities the task computed: every member of every cell,
-  *               in the grid's member order (Approx-DPC), or one picked point
-  *               per cell (S-Approx-DPC)
-  * @param pstar  per cell, its densest member `p*(c)` (Approx-DPC; else empty)
-  * @param minRho per cell, its smallest member density (Approx-DPC; else empty)
+  * @param rhos   the densities the task computed, in the grid's member order:
+  *               every member of every cell, or each cell's first member only
+  * @param pstar  per cell, its densest member with a density, `p*(c)`
+  * @param minRho per cell, its smallest member density
   * @param nbrOff CSR offsets, one per cell plus one: cell k's `N(c)` is
   *               `nbrs(nbrOff(k) until nbrOff(k + 1))`
   * @param nbrs   the neighbour cells of all the group's cells
@@ -22,8 +25,206 @@ final class CellBlock(
     val nbrs: Array[Int]
 ) extends Serializable
 
-/** The per-cell scan both grid algorithms run on a range-search result. */
+/** The grid pass of both grid algorithms: Approx-DPC (§4) and S-Approx-DPC
+  * (§5), which is Approx-DPC on a coarser grid where one picked point per cell
+  * does the work.
+  *
+  * Density phase — for every cell c, one range search on a static
+  * [[MaxRhoKdTree]] yields the exact densities of the cell's members that get
+  * one (all of them, or the first, i.e. the smallest id), its densest such
+  * member `p*(c)`, their minimum density, and `N(c)`: the cells holding points
+  * strictly within `dcut` of `p*(c)`. A cell where one point gets a density
+  * searches the ball around that point; otherwise the cell searches once from
+  * its center with radius `dcut + max_p dist(center, p)`, a superset of every
+  * member's ball. Cells are LPT-assigned to Spark tasks with `cost_range(c) =
+  * |P(c)|` (§4.5; the paper's second, post-range re-assignment is collapsed
+  * into this one — see DESIGN.md), and each task returns one [[CellBlock]].
+  *
+  * Approximate dependents — O(1) per point via the cell metadata: see
+  * [[dependents]]. The representatives left undecided are the caller's.
+  */
 object CellPass {
+
+  /** What the pass leaves its caller.
+    *
+    * @param tree      the broadcast static tree over all points, alive until
+    *                  the caller's continuation returns
+    * @param rho       per point its exact density, or NaN if it got none
+    * @param pstar     per cell, `p*(c)`
+    * @param depId     approximate dependents; -1 for the undecided
+    * @param delta     their distances; 0 for the undecided
+    * @param undecided the representatives with no denser neighbour cell, in
+    *                  cell order
+    * @param t1        `System.nanoTime()` at the end of the density phase
+    * @param memBytes  modelled footprint of the tree, the grid and `N(c)`
+    */
+  final class Result(
+      val tree: Broadcast[MaxRhoKdTree],
+      val rho: Array[Double],
+      val pstar: Array[Int],
+      val depId: Array[Int],
+      val delta: Array[Double],
+      val undecided: Array[Int],
+      val t1: Long,
+      val memBytes: Long
+  )
+
+  /** Runs the pass over `pts` on the grid of side `side` and hands its
+    * [[Result]] to `rest`. With `firstOnly`, only the first member of each
+    * cell gets a density; otherwise all of them do. The points, the tree and
+    * the grid are broadcast once each and destroyed when `rest` returns.
+    */
+  def run[T](
+      spark: SparkSession, pts: Pts, side: Double, dcut: Double, firstOnly: Boolean,
+      memberDelta: Double, starDelta: Double
+  )(rest: Result => T): T = {
+    val tree   = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
+    val grid   = new Grid(pts, side)
+    val sc     = spark.sparkContext
+    val bcPts  = sc.broadcast(pts)
+    val bcTree = sc.broadcast(tree)
+    val bcGrid = sc.broadcast(grid)
+    try {
+      val groups = Par.lpt(Array.tabulate(grid.nCells)(grid.size(_).toDouble), sc.defaultParallelism)
+      val blocks = Par.mapGroups(spark, groups)(densities(bcPts.value, bcTree.value, bcGrid.value, dcut, firstOnly, _))
+
+      val rho    = Array.fill(pts.n)(Double.NaN)
+      val pstar  = new Array[Int](grid.nCells)
+      val minRho = new Array[Double](grid.nCells)
+      val nbrOff = new Array[Int](grid.nCells + 1) // CSR N(c): counts first, then offsets
+      var g = 0
+      while (g < groups.length) {
+        val b   = blocks(g)
+        var pos = 0
+        var k   = 0
+        while (k < groups(g).length) {
+          val c  = groups(g)(k)
+          val lo = grid.start(c)
+          var s  = lo
+          while (s < lo + rated(grid, c, firstOnly)) { rho(grid.members(s)) = b.rhos(pos); pos += 1; s += 1 }
+          pstar(c) = b.pstar(k)
+          minRho(c) = b.minRho(k)
+          nbrOff(c + 1) = b.nbrOff(k + 1) - b.nbrOff(k)
+          k += 1
+        }
+        g += 1
+      }
+      var c = 0
+      while (c < grid.nCells) { nbrOff(c + 1) += nbrOff(c); c += 1 }
+      val nbrs = new Array[Int](nbrOff(grid.nCells))
+      g = 0
+      while (g < groups.length) {
+        val b = blocks(g)
+        var k = 0
+        while (k < groups(g).length) {
+          System.arraycopy(b.nbrs, b.nbrOff(k), nbrs, nbrOff(groups(g)(k)), b.nbrOff(k + 1) - b.nbrOff(k))
+          k += 1
+        }
+        g += 1
+      }
+      val t1 = System.nanoTime()
+
+      val (depId, delta, undecided) = dependents(grid, rho, pstar, minRho, nbrOff, nbrs, memberDelta, starDelta)
+      val mem = MaxRhoKdTree.memBytes(pts.n, pts.d) + grid.memBytes + 4L * (nbrOff.length + nbrs.length)
+      rest(new Result(bcTree, rho, pstar, depId, delta, undecided, t1, mem))
+    } finally {
+      bcPts.destroy(); bcTree.destroy(); bcGrid.destroy()
+    }
+  }
+
+  /** Number of members of cell `c` that get a density. */
+  private def rated(g: Grid, c: Int, firstOnly: Boolean): Int = if (firstOnly) 1 else g.size(c)
+
+  /** The density task of one group of cells `cellIdxs`. */
+  private def densities(p: Pts, t: MaxRhoKdTree, g: Grid, dcut: Double, firstOnly: Boolean, cellIdxs: Array[Int]): CellBlock = {
+    val dcut2  = dcut * dcut
+    val seen   = new Array[Int](g.nCells)
+    java.util.Arrays.fill(seen, -1)
+    val rhos   = new Array[Double](cellIdxs.iterator.map(rated(g, _, firstOnly)).sum)
+    val pstar  = new Array[Int](cellIdxs.length)
+    val minRho = new Array[Double](cellIdxs.length)
+    val nbrOff = new Array[Int](cellIdxs.length + 1)
+    val nbrs   = new mutable.ArrayBuilder.ofInt
+    var pos = 0
+    var k   = 0
+    while (k < cellIdxs.length) {
+      val c  = cellIdxs(k)
+      val lo = g.start(c)
+      val m  = rated(g, c, firstOnly)
+      if (m == 1) {
+        // One point: B(p,dcut) needs no enclosing ball — query the point
+        // itself (same result set, much smaller radius in high dimensions).
+        val i   = g.members(lo)
+        val r   = t.rangeSearch(p.point(i), dcut) // inclusive superset; the scan is strict
+        val rho = scan(p, g.cellOf, i, c, r, dcut2, seen, nbrs) + Jitter.frac(i)
+        rhos(pos) = rho; pstar(k) = i; minRho(k) = rho
+      } else {
+        val cp   = g.center(c)
+        var rmax = 0.0
+        var s = lo
+        while (s < lo + m) { rmax = math.max(rmax, math.sqrt(p.dist2To(g.members(s), cp))); s += 1 }
+        val r = t.rangeSearch(cp, dcut + rmax + 1e-9)
+        // exact density of every member by scanning the joint result
+        var star    = -1
+        var starRho = Double.NegativeInfinity
+        var min     = Double.PositiveInfinity
+        s = lo
+        while (s < lo + m) {
+          val i   = g.members(s)
+          val rho = scan(p, g.cellOf, i, c, r, dcut2, seen, null) + Jitter.frac(i)
+          rhos(pos + s - lo) = rho
+          if (rho > starRho) { starRho = rho; star = i }
+          if (rho < min) min = rho
+          s += 1
+        }
+        scan(p, g.cellOf, star, c, r, dcut2, seen, nbrs)
+        pstar(k) = star; minRho(k) = min
+      }
+      pos += m
+      nbrOff(k + 1) = nbrs.length
+      k += 1
+    }
+    new CellBlock(rhos, pstar, minRho, nbrOff, nbrs.result())
+  }
+
+  /** The approximate dependents of every point of `grid`: a member other than
+    * `p*(c)` depends on `p*(c)` at `memberDelta`; `p*(c)` depends on `p*(c')`
+    * of the neighbour cell c' in `N(c)` with the largest minimum density above
+    * `rho(p*(c))` (equal minima: the first in `N(c)` order) at `starDelta`.
+    * Returns `(depId, delta, undecided)`: the `p*(c)` with no such neighbour
+    * are undecided, in cell order, with `(-1, 0)`.
+    */
+  def dependents(
+      grid: Grid, rho: Array[Double], pstar: Array[Int], minRho: Array[Double],
+      nbrOff: Array[Int], nbrs: Array[Int], memberDelta: Double, starDelta: Double
+  ): (Array[Int], Array[Double], Array[Int]) = {
+    val depId = new Array[Int](rho.length)
+    val delta = new Array[Double](rho.length)
+    java.util.Arrays.fill(depId, -1)
+    val undecided = new mutable.ArrayBuilder.ofInt
+    var c = 0
+    while (c < grid.nCells) {
+      val star = pstar(c)
+      var s = grid.start(c)
+      while (s < grid.start(c + 1)) {
+        val i = grid.members(s)
+        if (i != star) { depId(i) = star; delta(i) = memberDelta }
+        s += 1
+      }
+      var chosen  = -1
+      var bestMin = Double.NegativeInfinity
+      var z = nbrOff(c)
+      while (z < nbrOff(c + 1)) {
+        val c2 = nbrs(z)
+        if (minRho(c2) > rho(star) && minRho(c2) > bestMin) { bestMin = minRho(c2); chosen = c2 }
+        z += 1
+      }
+      if (chosen >= 0) { depId(star) = pstar(chosen); delta(star) = starDelta }
+      else undecided += star
+      c += 1
+    }
+    (depId, delta, undecided.result())
+  }
 
   /** Counts the points of `r` other than `i` strictly within `dcut` of point
     * `i` (`dcut2 = dcut * dcut`). When `nbrs` is not null, also appends every
@@ -48,36 +249,5 @@ object CellPass {
       u += 1
     }
     cnt
-  }
-
-  /** `N(c)` of every cell, from the blocks of the task groups `groups`, as
-    * CSR arrays `(off, nbrs)`: cell c's neighbours are `nbrs(off(c) until
-    * off(c + 1))`.
-    */
-  def neighbours(nCells: Int, groups: Array[Array[Int]], blocks: Array[CellBlock]): (Array[Int], Array[Int]) = {
-    val off = new Array[Int](nCells + 1)
-    var g = 0
-    while (g < groups.length) {
-      val cs = groups(g)
-      val bo = blocks(g).nbrOff
-      var k = 0
-      while (k < cs.length) { off(cs(k) + 1) = bo(k + 1) - bo(k); k += 1 }
-      g += 1
-    }
-    var c = 0
-    while (c < nCells) { off(c + 1) += off(c); c += 1 }
-    val nbrs = new Array[Int](off(nCells))
-    g = 0
-    while (g < groups.length) {
-      val cs = groups(g)
-      val b  = blocks(g)
-      var k = 0
-      while (k < cs.length) {
-        System.arraycopy(b.nbrs, b.nbrOff(k), nbrs, off(cs(k)), b.nbrOff(k + 1) - b.nbrOff(k))
-        k += 1
-      }
-      g += 1
-    }
-    (off, nbrs)
   }
 }

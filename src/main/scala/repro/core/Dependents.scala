@@ -14,13 +14,14 @@ object ScanDependents {
   /** Returns `(depId, delta)`; the top-density point gets `(-1, +inf)`. */
   def compute(spark: SparkSession, pts: Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
     val bcPts = spark.sparkContext.broadcast(pts)
-    try compute(spark, bcPts, rho) finally bcPts.destroy()
+    try compute(spark, () => bcPts.value, rho) finally bcPts.destroy()
   }
 
-  /** [[compute]] over a point set the caller has already broadcast, such as
-    * the one its density phase read, so the points are shipped once per run.
+  /** [[compute]] over the points each task gets from `points`, a factory that
+    * reads a broadcast the caller has already made, such as the one its
+    * density phase read, so the points are shipped once per run.
     */
-  def compute(spark: SparkSession, bcPts: Broadcast[Pts], rho: Array[Double]): (Array[Int], Array[Double]) = {
+  def compute(spark: SparkSession, points: () => Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
     val n     = rho.length
     val order = Order.descending(rho)
     val rank  = new Array[Int](n)
@@ -35,7 +36,7 @@ object ScanDependents {
     val costs  = Array.tabulate(n)(i => math.max(1.0, rank(i).toDouble))
     val groups = Par.lpt(costs, sc.defaultParallelism)
     val out = Par.mapGroups(spark, groups) { idxs =>
-      val p     = bcPts.value
+      val p     = points()
       val od    = bcOrder.value
       val rk    = bcRank.value
       val dep   = new Array[Int](idxs.length)
@@ -201,7 +202,4 @@ object ExactDependents {
     }
     (dep, dist)
   }
-
-  /** Modelled footprint of the search's kd-tree over `m` points in `R^d`. */
-  def memBytes(m: Int, d: Int): Long = MaxRhoKdTree.memBytes(m, d)
 }

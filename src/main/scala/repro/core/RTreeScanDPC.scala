@@ -16,7 +16,8 @@ object RTreeScanDPC extends DPCAlgorithm {
 
     val t0   = System.nanoTime()
     val tree = new RTree(pts).buildAll()
-    // The tree holds the points, so they are shipped once, inside it.
+    // The tree holds the points, so they are shipped once, inside it, for
+    // both phases.
     val bcTree = spark.sparkContext.broadcast(tree)
     val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
       val t = bcTree.value
@@ -25,7 +26,7 @@ object RTreeScanDPC extends DPCAlgorithm {
     }
     val t1 = System.nanoTime()
 
-    val (depId, delta) = ScanDependents.compute(spark, pts, rho)
+    val (depId, delta) = ScanDependents.compute(spark, () => bcTree.value.pts, rho)
     val t2 = System.nanoTime()
     val mem = tree.memBytes
     bcTree.destroy()

@@ -1,201 +1,123 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.grid.Grid
-import repro.kdtree.MaxRhoKdTree
 import scala.collection.mutable
 
 /** S-Approx-DPC (§5): grid sampling + cell-based clustering.
   *
-  * A grid `G'` with side `eps * dcut / sqrt(d)` is built; one deterministic
-  * *picked* point per cell (smallest id) does all the work. Each picked point
-  * gets its exact density from one kd-tree range search, which also yields
-  * `N(c)`. Non-picked points simply depend on their cell's picked point
-  * (distance at most `eps * dcut`, and `rho_min` does not apply to them).
+  * The grid pass [[CellPass]] on a grid `G'` of side `eps * dcut / sqrt(d)`,
+  * where one deterministic *picked* point per cell (its first member, the
+  * smallest id) does all the work: it alone gets its exact density, so it is
+  * the cell's `p*`, and `N(c)` comes from its range search. Non-picked points
+  * depend on their cell's picked point (distance at most `eps * dcut`, and
+  * `rho_min` does not apply to them).
   *
-  * Picked dependents: phase 1 picks any denser picked point in `N(c)` (bound
-  * `(1+eps) * dcut`); the residual roots `P'_pick` form *temporal clusters*
-  * whose radii prune candidates via the triangle inequality in phase 2. If
-  * `|P'_pick|^2` exceeds O(n), the paper's fallback — Approx-DPC's exact
-  * dependent search over the picked set — kicks in. It reuses the broadcast
-  * [[MaxRhoKdTree]] of the density phase, with densities attached for the
-  * picked points only.
+  * Picked dependents: phase 1, the pass, picks a denser picked point in
+  * `N(c)` (bound `(1+eps) * dcut`); the residual roots `P'_pick` form
+  * *temporal clusters* whose radii prune candidates via the triangle
+  * inequality in phase 2. If `|P'_pick|^2` exceeds O(n), the paper's fallback
+  * — Approx-DPC's exact dependent search over the picked set — kicks in. It
+  * reuses the pass's broadcast [[repro.kdtree.MaxRhoKdTree]], with densities
+  * attached for the picked points only.
   */
 object SApproxDPC extends DPCAlgorithm {
   override val name = "S-Approx-DPC"
 
   override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
-    val n     = pts.n
-    val dcut  = params.dcut
-    val dcut2 = dcut * dcut
-    val eps   = params.epsilon
-
+    val dcut = params.dcut
+    val eps  = params.epsilon
     val t0   = System.nanoTime()
-    val tree = MaxRhoKdTree.build(pts, Array.range(0, n))
-    val grid = new Grid(pts, eps * dcut / math.sqrt(pts.d.toDouble))
-
-    // Deterministic pick: smallest point id per cell, its first member.
-    val picked = Array.tabulate(grid.nCells)(c => grid.members(grid.start(c)))
-
-    val sc     = spark.sparkContext
-    val bcPts  = sc.broadcast(pts)
-    val bcTree = sc.broadcast(tree)
-    val bcGrid = sc.broadcast(grid)
-
-    val groups = Par.lpt(Array.tabulate(grid.nCells)(grid.size(_).toDouble), sc.defaultParallelism)
-    val blocks = Par.mapGroups(spark, groups) { cellIdxs =>
-      val p      = bcPts.value
-      val t      = bcTree.value
-      val g      = bcGrid.value
-      val seen   = new Array[Int](g.nCells)
-      java.util.Arrays.fill(seen, -1)
-      val rhos   = new Array[Double](cellIdxs.length)
-      val nbrOff = new Array[Int](cellIdxs.length + 1)
-      val nbrs   = new mutable.ArrayBuilder.ofInt
-      var k = 0
-      while (k < cellIdxs.length) {
-        val c  = cellIdxs(k)
-        val pi = g.members(g.start(c))
-        val r  = t.rangeSearch(p.point(pi), dcut) // inclusive superset; the scan is strict
-        rhos(k) = CellPass.scan(p, g.cellOf, pi, c, r, dcut2, seen, nbrs) + Jitter.frac(pi)
-        nbrOff(k + 1) = nbrs.length
-        k += 1
-      }
-      new CellBlock(rhos, Array.emptyIntArray, Array.emptyDoubleArray, nbrOff, nbrs.result())
+    CellPass.run(spark, pts, eps * dcut / math.sqrt(pts.d.toDouble), dcut, firstOnly = true,
+        eps * dcut, (1 + eps) * dcut) { pass =>
+      val picked = pass.pstar
+      val pPrime = pass.undecided
+      if (pPrime.length.toLong * pPrime.length > 4L * pts.n) {
+        // Fallback of §5: Approx-DPC's exact dependent search over the picked set.
+        val (exDep, exDelta) = ExactDependents.compute(spark, pass.tree, pts, pass.rho, picked, pPrime)
+        var k = 0
+        while (k < pPrime.length) { pass.depId(pPrime(k)) = exDep(k); pass.delta(pPrime(k)) = exDelta(k); k += 1 }
+      } else if (pPrime.nonEmpty) temporalClusters(pts, pass.rho, picked, pPrime, pass.depId, pass.delta)
+      val t2 = System.nanoTime()
+      new DPCResult(pass.rho, pass.depId, pass.delta,
+        PhaseTimes((pass.t1 - t0) / 1000000L, (t2 - pass.t1) / 1000000L), pass.memBytes + 8L * picked.length)
     }
+  }
 
-    val rho = Array.fill(n)(Double.NaN) // non-picked points carry no density
-    var g = 0
-    while (g < groups.length) {
-      var k = 0
-      while (k < groups(g).length) { rho(picked(groups(g)(k))) = blocks(g).rhos(k); k += 1 }
-      g += 1
+  /** Phase 2: sets `depId`/`delta` of the roots `pPrime` from temporal
+    * clusters + triangle-inequality pruning (driver; the loop is
+    * O(|P'_pick|^2 + |P'_pick| * |G'|), both bounded by O(n)).
+    */
+  private def temporalClusters(
+      pts: Pts, rho: Array[Double], picked: Array[Int], pPrime: Array[Int],
+      depId: Array[Int], delta: Array[Double]
+  ): Unit = {
+    // children lists of the picked-point dependency forest
+    val children = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
+    picked.foreach { pi =>
+      val dep = depId(pi)
+      if (dep >= 0) children.getOrElseUpdate(dep, mutable.ArrayBuffer.empty) += pi
     }
-    val (nbrOff, nbrs) = CellPass.neighbours(grid.nCells, groups, blocks)
-    val t1 = System.nanoTime()
-
-    // --- Dependent points. ---
-    val depId = new Array[Int](n)
-    val delta = new Array[Double](n)
-    java.util.Arrays.fill(depId, -1)
-
-    // Non-picked points: their cell's picked point, distance <= eps * dcut.
-    var c = 0
-    while (c < grid.nCells) {
-      val pi = picked(c)
-      var s = grid.start(c)
-      while (s < grid.start(c + 1)) {
-        val i = grid.members(s)
-        if (i != pi) { depId(i) = pi; delta(i) = eps * dcut }
-        s += 1
+    val memberOf = new Array[Array[Int]](pPrime.length) // temporal cluster members (incl. root)
+    val radius   = new Array[Double](pPrime.length)
+    var ri = 0
+    while (ri < pPrime.length) {
+      val root  = pPrime(ri)
+      val buf   = new mutable.ArrayBuilder.ofInt
+      val stack = mutable.ArrayDeque[Int](root)
+      var rmax  = 0.0
+      while (stack.nonEmpty) {
+        val x = stack.removeLast()
+        buf += x
+        val dd = pts.dist(root, x)
+        if (dd > rmax) rmax = dd
+        children.get(x).foreach(_.foreach(stack.append))
       }
-      c += 1
+      memberOf(ri) = buf.result()
+      radius(ri) = rmax
+      ri += 1
     }
-
-    // Phase 1: denser picked point in a neighbour cell, bound (1+eps)*dcut.
-    val roots = new scala.collection.mutable.ArrayBuilder.ofInt
-    c = 0
-    while (c < grid.nCells) {
-      val pi = picked(c)
-      var chosen = -1
-      var chosenRho = Double.NegativeInfinity
-      var z = nbrOff(c)
-      while (z < nbrOff(c + 1)) {
-        val pj = picked(nbrs(z))
-        if (rho(pj) > rho(pi) && rho(pj) > chosenRho) { chosenRho = rho(pj); chosen = pj }
-        z += 1
-      }
-      if (chosen >= 0) { depId(pi) = chosen; delta(pi) = (1 + eps) * dcut }
-      else roots += pi
-      c += 1
-    }
-    val pPrime = roots.result()
-
-    if (pPrime.length.toLong * pPrime.length > 4L * n) {
-      // Fallback of §5: Approx-DPC's exact dependent search over the picked set.
-      val (exDep, exDelta) = ExactDependents.compute(spark, bcTree, pts, rho, picked, pPrime)
-      var k = 0
-      while (k < pPrime.length) { depId(pPrime(k)) = exDep(k); delta(pPrime(k)) = exDelta(k); k += 1 }
-    } else if (pPrime.nonEmpty) {
-      // Phase 2: temporal clusters + triangle-inequality pruning (driver; the
-      // loop is O(|P'_pick|^2 + |P'_pick| * |G'|), both bounded by O(n)).
-      // children lists of the picked-point dependency forest
-      val children = scala.collection.mutable.HashMap.empty[Int, scala.collection.mutable.ArrayBuffer[Int]]
-      picked.foreach { pi =>
-        val dep = depId(pi)
-        if (dep >= 0) children.getOrElseUpdate(dep, scala.collection.mutable.ArrayBuffer.empty) += pi
-      }
-      val memberOf = new Array[Array[Int]](pPrime.length) // temporal cluster members (incl. root)
-      val radius   = new Array[Double](pPrime.length)
-      var ri = 0
-      while (ri < pPrime.length) {
-        val root = pPrime(ri)
-        val buf  = new scala.collection.mutable.ArrayBuilder.ofInt
-        val stack = scala.collection.mutable.ArrayDeque[Int](root)
-        var rmax = 0.0
-        while (stack.nonEmpty) {
-          val x = stack.removeLast()
-          buf += x
-          val dd = pts.dist(root, x)
-          if (dd > rmax) rmax = dd
-          children.get(x).foreach(_.foreach(stack.append))
+    // p' = nearest root with higher density; then scan unpruned clusters.
+    ri = 0
+    while (ri < pPrime.length) {
+      val pi = pPrime(ri)
+      var bBest = Double.PositiveInfinity
+      var bId   = -1
+      var rj = 0
+      while (rj < pPrime.length) {
+        val pj = pPrime(rj)
+        if (rho(pj) > rho(pi)) {
+          val dd = pts.dist(pi, pj)
+          if (dd < bBest) { bBest = dd; bId = pj }
         }
-        memberOf(ri) = buf.result()
-        radius(ri) = rmax
-        ri += 1
+        rj += 1
       }
-      // p' = nearest root with higher density; then scan unpruned clusters.
-      ri = 0
-      while (ri < pPrime.length) {
-        val pi = pPrime(ri)
-        var bBest = Double.PositiveInfinity
-        var bId   = -1
-        var rj = 0
+      if (bId >= 0) {
+        var bestId = bId
+        var bestD  = bBest
+        rj = 0
         while (rj < pPrime.length) {
           val pj = pPrime(rj)
-          if (rho(pj) > rho(pi)) {
-            val dd = pts.dist(pi, pj)
-            if (dd < bBest) { bBest = dd; bId = pj }
+          if (rho(pj) > rho(pi) && pts.dist(pi, pj) - radius(rj) <= bBest) {
+            val mems = memberOf(rj)
+            var mIdx = 0
+            while (mIdx < mems.length) {
+              val q = mems(mIdx)
+              if (rho(q) > rho(pi)) {
+                val dd = pts.dist(pi, q)
+                if (dd < bestD) { bestD = dd; bestId = q }
+              }
+              mIdx += 1
+            }
           }
           rj += 1
         }
-        if (bId >= 0) {
-          var bestId = bId
-          var bestD  = bBest
-          rj = 0
-          while (rj < pPrime.length) {
-            val pj = pPrime(rj)
-            if (rho(pj) > rho(pi) && pts.dist(pi, pj) - radius(rj) <= bBest) {
-              val mems = memberOf(rj)
-              var mIdx = 0
-              while (mIdx < mems.length) {
-                val q = mems(mIdx)
-                if (rho(q) > rho(pi)) {
-                  val dd = pts.dist(pi, q)
-                  if (dd < bestD) { bestD = dd; bestId = q }
-                }
-                mIdx += 1
-              }
-            }
-            rj += 1
-          }
-          depId(pi) = bestId
-          delta(pi) = bestD
-        } else {
-          depId(pi) = -1
-          delta(pi) = Double.PositiveInfinity // global picked density peak
-        }
-        ri += 1
+        depId(pi) = bestId
+        delta(pi) = bestD
+      } else {
+        depId(pi) = -1
+        delta(pi) = Double.PositiveInfinity // global picked density peak
       }
-    } else {
-      // No roots means a cycle-free forest already complete — nothing to do.
+      ri += 1
     }
-    val t2 = System.nanoTime()
-    bcPts.destroy(); bcTree.destroy(); bcGrid.destroy()
-
-    val mem = MaxRhoKdTree.memBytes(n, pts.d) + grid.memBytes + 4L * (nbrOff.length + nbrs.length) +
-      8L * grid.nCells
-    new DPCResult(rho, depId, delta,
-      PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), mem)
   }
 }

@@ -29,7 +29,7 @@ object ScanDPC extends DPCAlgorithm {
     }
     val t1 = System.nanoTime()
 
-    val (depId, delta) = ScanDependents.compute(spark, bcPts, rho)
+    val (depId, delta) = ScanDependents.compute(spark, () => bcPts.value, rho)
     val t2 = System.nanoTime()
     bcPts.destroy()
 

@@ -107,9 +107,10 @@ class ApproxDPCSpec extends SparkSpec {
   }
 
   test("memBytes includes grid and trees") {
-    val pts = TestUtil.clusteredPts(500, 2, 3, 20.0, 1000.0, seed = 640)
-    val res = ApproxDPC.run(spark, pts, DPCParams(dcut = 40.0))
-    assert(res.memBytes > new repro.kdtree.KdTree(pts).buildAll().memBytes)
+    val pts  = TestUtil.clusteredPts(500, 2, 3, 20.0, 1000.0, seed = 640)
+    val res  = ApproxDPC.run(spark, pts, DPCParams(dcut = 40.0))
+    val grid = new repro.grid.Grid(pts, 40.0 / math.sqrt(2.0))
+    assert(res.memBytes >= repro.kdtree.MaxRhoKdTree.memBytes(pts.n, pts.d) + grid.memBytes)
   }
 
   test("chooseS satisfies Equation (2) boundary") {

@@ -80,8 +80,8 @@ class ExactAlgosSpec extends SparkSpec {
   // Scan's dependent phase reads the point set its density phase broadcast.
   // Besides one task binary per Spark stage, a Scan run broadcasts the points
   // and the dependent phase's order and rank; CFSFDP-A adds its three pivot
-  // structures.
-  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 2), (CFSFDPA, 5))) {
+  // structures. R-tree + Scan ships the points inside its tree.
+  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 2), (RTreeScanDPC, 2), (CFSFDPA, 5))) {
     test(s"${algo.name} broadcasts the point set once per run") {
       val pts = TestUtil.clusteredPts(2000, 2, k = 3, sigma = 30.0, domain = 1000.0, seed = 512)
       var bcasts = 0L

@@ -172,6 +172,6 @@ class ExactDependentsSpec extends SparkSpec {
 
   test("memBytes models the tree's leaf-order arrays, node arrays and boxes") {
     assert(MaxRhoKdTree.nodeCount(1000) === 127) // 64 leaves of 15-16 ids
-    assert(ExactDependents.memBytes(1000, 3) === 1000L * (4 + 24 + 8) + 127L * (12 + 8 + 48))
+    assert(MaxRhoKdTree.memBytes(1000, 3) === 1000L * (4 + 24 + 8) + 127L * (12 + 8 + 48))
   }
 }

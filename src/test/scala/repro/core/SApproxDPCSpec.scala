@@ -114,6 +114,13 @@ class SApproxDPCSpec extends SparkSpec {
     }
   }
 
+  test("memBytes includes grid and trees") {
+    val pts  = TestUtil.clusteredPts(500, 2, 3, 20.0, 1000.0, seed = 640)
+    val res  = SApproxDPC.run(spark, pts, DPCParams(dcut = 40.0, epsilon = 0.5))
+    val grid = new Grid(pts, 0.5 * 40.0 / math.sqrt(2.0))
+    assert(res.memBytes >= repro.kdtree.MaxRhoKdTree.memBytes(pts.n, pts.d) + grid.memBytes)
+  }
+
   test("degenerate input: n=1") {
     val one = Pts.fromArrays(2, Seq(Array(1.0, 1.0)))
     val r   = SApproxDPC.run(spark, one, DPCParams(dcut = 1.0, epsilon = 0.5))
