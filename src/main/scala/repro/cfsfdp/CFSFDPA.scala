@@ -62,42 +62,42 @@ object CFSFDPA extends DPCAlgorithm {
     val bcSM  = sc.broadcast(sortedMembers)
     val bcSD  = sc.broadcast(sortedDists)
 
-    val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-      val p  = bcPts.value
-      val pd = bcPD.value
-      val sm = bcSM.value
-      val sd = bcSD.value
-      qi => {
-        var cnt = 0
-        var mm = 0
-        while (mm < sm.length) {
-          val dPiv = pd(qi * sm.length + mm)
-          val ds   = sd(mm)
-          val ms   = sm(mm)
-          // members with pivot distance in (dPiv - dcut, dPiv + dcut)
-          var lo = java.util.Arrays.binarySearch(ds, dPiv - dcut)
-          if (lo < 0) lo = -lo - 1
-          var z = lo
-          while (z < ds.length && ds(z) < dPiv + dcut) {
-            val j = ms(z)
-            if (j != qi && p.dist2(qi, j) < dcut2) cnt += 1
-            z += 1
+    try {
+      val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+        val p  = bcPts.value
+        val pd = bcPD.value
+        val sm = bcSM.value
+        val sd = bcSD.value
+        qi => {
+          var cnt = 0
+          var mm = 0
+          while (mm < sm.length) {
+            val dPiv = pd(qi * sm.length + mm)
+            val ds   = sd(mm)
+            val ms   = sm(mm)
+            // members with pivot distance in (dPiv - dcut, dPiv + dcut)
+            var lo = java.util.Arrays.binarySearch(ds, dPiv - dcut)
+            if (lo < 0) lo = -lo - 1
+            var z = lo
+            while (z < ds.length && ds(z) < dPiv + dcut) {
+              val j = ms(z)
+              if (j != qi && p.dist2(qi, j) < dcut2) cnt += 1
+              z += 1
+            }
+            mm += 1
           }
-          mm += 1
+          cnt
         }
-        cnt
       }
-    }
-    val t1 = System.nanoTime()
+      val t1 = System.nanoTime()
 
-    val (depId, delta) = ScanDependents.compute(spark, () => bcPts.value, rho)
-    val t2 = System.nanoTime()
-    bcPts.destroy(); bcPD.destroy(); bcSM.destroy(); bcSD.destroy()
+      val (depId, delta) = ScanDependents.compute(spark, () => bcPts.value, rho)
+      val t2 = System.nanoTime()
 
-    val mem = 8L * n * k +                       // pivot-distance matrix
-      (8L + 4L) * n +                            // sorted lists (dist + id per point)
-      8L * k * pts.d                             // centroids
-    new DPCResult(rho, depId, delta,
-      PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), mem)
+      val mem = 8L * n * k +                       // pivot-distance matrix
+        (8L + 4L) * n +                            // sorted lists (dist + id per point)
+        8L * k * pts.d                             // centroids
+      new DPCResult(rho, depId, delta, PhaseTimes.between(t0, t1, t2), mem)
+    } finally { bcPts.destroy(); bcPD.destroy(); bcSM.destroy(); bcSD.destroy() }
   }
 }

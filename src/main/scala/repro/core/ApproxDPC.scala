@@ -28,7 +28,7 @@ object ApproxDPC extends DPCAlgorithm {
       while (k < pPrime.length) { pass.depId(pPrime(k)) = exDep(k); pass.delta(pPrime(k)) = exDelta(k); k += 1 }
       val t2 = System.nanoTime()
       new DPCResult(pass.rho, pass.depId, pass.delta,
-        PhaseTimes((pass.t1 - t0) / 1000000L, (t2 - pass.t1) / 1000000L), pass.memBytes)
+        PhaseTimes.between(t0, pass.t1, t2), pass.memBytes)
     }
   }
 }

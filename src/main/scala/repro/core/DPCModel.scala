@@ -50,6 +50,13 @@ final case class PhaseTimes(densityMs: Long, dependentMs: Long) {
   def totalMs: Long = densityMs + dependentMs
 }
 
+object PhaseTimes {
+  /** The phases between three `System.nanoTime()` stamps: density from `t0`
+    * to `t1`, dependent from `t1` to `t2`, each truncated to whole ms.
+    */
+  def between(t0: Long, t1: Long, t2: Long): PhaseTimes = PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L)
+}
+
 /** Output of one DPC algorithm, before center selection / label propagation.
   *
   * @param rho      jittered local densities; `NaN` where the algorithm does not

@@ -4,10 +4,43 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.kdtree.MaxRhoKdTree
 
+/** The dependent-point phase (§2.1 step 3): for each query point, its
+  * dependent point, the nearest point of strictly higher density.
+  *
+  * A caller supplies the queries, groups of their positions and a kernel
+  * factory, as for [[Par.mapItems]]: the kernel returns the dependent id of
+  * the query at a position, or -1 if it has none, and fixes the tie rule
+  * among equidistant candidates. Each task returns one `Array[Int]`, and
+  * `delta` is derived once, on the driver, from the ids.
+  */
+object Dependents {
+
+  /** Returns `(depId, delta)` of each query, in the order of `queries`:
+    * `delta(k)` is `pts.dist(queries(k), depId(k))`, or +inf where `depId(k)`
+    * is -1. `pts` is read only after the kernel has run, so that a caller may
+    * pass a broadcast's value, which the driver then reads only if the tasks
+    * succeeded.
+    */
+  def search(spark: SparkSession, pts: => Pts, queries: Array[Int], groups: Array[Array[Int]])(
+      kernel: () => Int => Int
+  ): (Array[Int], Array[Double]) = {
+    val depId = Par.mapItems(spark, queries.length, groups)(kernel)
+    val p     = pts
+    val delta = new Array[Double](queries.length)
+    var k = 0
+    while (k < queries.length) {
+      delta(k) = if (depId(k) < 0) Double.PositiveInfinity else p.dist(queries(k), depId(k))
+      k += 1
+    }
+    (depId, delta)
+  }
+}
+
 /** O(n^2)-style dependent-point search with early termination (§2.1 step 3):
   * points are sorted by descending density and each point scans only the
-  * points ranked above it. Shared by Scan, R-tree + Scan and CFSFDP-A (the
-  * paper runs CFSFDP-A with Scan's dependent phase).
+  * points ranked above it, so among equidistant denser points the densest
+  * wins. Shared by Scan, R-tree + Scan and CFSFDP-A (the paper runs CFSFDP-A
+  * with Scan's dependent phase).
   */
 object ScanDependents {
 
@@ -22,46 +55,33 @@ object ScanDependents {
     * density phase read, so the points are shipped once per run.
     */
   def compute(spark: SparkSession, points: () => Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
-    val n     = rho.length
-    val order = Order.descending(rho)
-    val rank  = new Array[Int](n)
-    var r = 0
-    while (r < n) { rank(order(r)) = r; r += 1 }
-
+    val n       = rho.length
+    val order   = Order.descending(rho)
     val sc      = spark.sparkContext
     val bcOrder = sc.broadcast(order)
-    val bcRank  = sc.broadcast(rank)
-
-    // Cost of point i is its rank (prefix length scanned) — LPT-balance it.
-    val costs  = Array.tabulate(n)(i => math.max(1.0, rank(i).toDouble))
-    val groups = Par.lpt(costs, sc.defaultParallelism)
-    val out = Par.mapGroups(spark, groups) { idxs =>
-      val p     = points()
-      val od    = bcOrder.value
-      val rk    = bcRank.value
-      val dep   = new Array[Int](idxs.length)
-      val delta = new Array[Double](idxs.length)
-      var k = 0
-      while (k < idxs.length) {
-        val i      = idxs(k)
-        val myRank = rk(i)
-        var bestId = -1
-        var bestD2 = Double.PositiveInfinity
-        var s = 0
-        while (s < myRank) {
-          val j  = od(s)
-          val d2 = p.dist2(i, j)
-          if (d2 < bestD2) { bestD2 = d2; bestId = j }
-          s += 1
+    try {
+      // The query at position r scans the r points before it: LPT-balance by r.
+      val groups = Par.lpt(Array.tabulate(n)(r => math.max(1.0, r.toDouble)), sc.defaultParallelism)
+      val (dep, delta) = Dependents.search(spark, points(), order, groups) { () =>
+        val p  = points()
+        val od = bcOrder.value
+        r => {
+          val i      = od(r)
+          var bestId = -1
+          var bestD2 = Double.PositiveInfinity
+          var s = 0
+          while (s < r) {
+            val j  = od(s)
+            val d2 = p.dist2(i, j)
+            if (d2 < bestD2) { bestD2 = d2; bestId = j }
+            s += 1
+          }
+          bestId
         }
-        dep(k) = bestId
-        delta(k) = if (bestId < 0) Double.PositiveInfinity else math.sqrt(bestD2)
-        k += 1
       }
-      (dep, delta)
-    }
-    bcOrder.destroy(); bcRank.destroy()
-    (Par.scatter(n, groups, out.map(_._1)), Par.scatter(n, groups, out.map(_._2)))
+      // From descending-density positions back to point ids.
+      (Par.scatter(n, Array(order), Array(dep)), Par.scatter(n, Array(order), Array(delta)))
+    } finally bcOrder.destroy()
   }
 }
 
@@ -129,12 +149,8 @@ object ExactDependents {
       rho: Array[Double],
       universe: Array[Int],
       queries: Array[Int]
-  ): (Array[Int], Array[Double]) = {
-    val m = queries.length
-    if (universe.isEmpty || m == 0)
-      return (Array.fill(m)(-1), Array.fill(m)(Double.PositiveInfinity))
+  ): (Array[Int], Array[Double]) =
     search(spark, tree.value, Some(tree), pts, rho, universe, queries)
-  }
 
   /** Both overloads: `tree` indexes at least the universe, and `shipped` is
     * its broadcast if the caller made one.
@@ -159,47 +175,30 @@ object ExactDependents {
     val qRho = queries.map(rho)
 
     val groups = Par.sized(spark, m, m * queryWork(universe.length, d))
-    val out =
-      if (Par.onDriver(groups)) Par.mapGroups(spark, groups)(nearestDenser(tree, dens, qx, qRho, d, _))
-      else {
-        val sc     = spark.sparkContext
-        val bcTree = shipped.getOrElse(sc.broadcast(tree))
-        val bcDens = sc.broadcast(dens)
-        val bcQ    = sc.broadcast((qx, qRho))
-        try Par.mapGroups(spark, groups) { qis =>
-          val (xs, rq) = bcQ.value
-          nearestDenser(bcTree.value, bcDens.value, xs, rq, d, qis)
-        } finally {
-          bcDens.destroy(); bcQ.destroy()
-          if (shipped.isEmpty) bcTree.destroy()
-        }
+    if (Par.onDriver(groups)) Dependents.search(spark, pts, queries, groups)(() => kernel(tree, dens, qx, qRho, d))
+    else {
+      val sc     = spark.sparkContext
+      val bcTree = shipped.getOrElse(sc.broadcast(tree))
+      val bcDens = sc.broadcast(dens)
+      val bcQ    = sc.broadcast((qx, qRho))
+      try Dependents.search(spark, pts, queries, groups) { () =>
+        val (xs, rq) = bcQ.value
+        kernel(bcTree.value, bcDens.value, xs, rq, d)
+      } finally {
+        bcDens.destroy(); bcQ.destroy()
+        if (shipped.isEmpty) bcTree.destroy()
       }
-    (Par.scatter(m, groups, out.map(_._1)), Par.scatter(m, groups, out.map(_._2)))
+    }
   }
 
-  /** `(depId, delta)` of the queries at positions `qis` of `xs` (row-major,
-    * `d` per query) and `rq`, in the order of `qis`.
+  /** The dependent id of the query at a position of `xs` (row-major, `d` per
+    * query) and `rq`: the smallest id among the nearest points denser than it.
     */
-  private def nearestDenser(
-      t: MaxRhoKdTree,
-      dens: MaxRhoKdTree.Densities,
-      xs: Array[Double],
-      rq: Array[Double],
-      d: Int,
-      qis: Array[Int]
-  ): (Array[Int], Array[Double]) = {
-    val q    = new Array[Double](d)
-    val dep  = new Array[Int](qis.length)
-    val dist = new Array[Double](qis.length)
-    var k = 0
-    while (k < qis.length) {
-      val qi = qis(k)
-      System.arraycopy(xs, qi * d, q, 0, d)
-      val (j, dd) = t.denserNearest(q, rq(qi), dens)
-      dep(k) = j
-      dist(k) = dd
-      k += 1
+  private def kernel(t: MaxRhoKdTree, dens: MaxRhoKdTree.Densities, xs: Array[Double], rq: Array[Double], d: Int): Int => Int = {
+    val q = new Array[Double](d)
+    k => {
+      System.arraycopy(xs, k * d, q, 0, d)
+      t.denserNearest(q, rq(k), dens)._1
     }
-    (dep, dist)
   }
 }

@@ -27,7 +27,7 @@ object ExDPC extends DPCAlgorithm {
     val tree   = MaxRhoKdTree.build(pts, Array.range(0, n))
     val bcTree = spark.sparkContext.broadcast(tree)
     val bcPts  = spark.sparkContext.broadcast(pts)
-    val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+    val rho = try Density.rho(spark, n, Par.indexed(spark, n)) { () =>
       val t = bcTree.value
       val p = bcPts.value
       val q = new Array[Double](p.d)
@@ -35,8 +35,7 @@ object ExDPC extends DPCAlgorithm {
         System.arraycopy(p.data, i * p.d, q, 0, p.d)
         t.rangeCount(q, dcut) - 1 // exclude the point itself
       }
-    }
-    bcTree.destroy(); bcPts.destroy()
+    } finally { bcTree.destroy(); bcPts.destroy() }
     val t1 = System.nanoTime()
 
     // Sequential incremental phase (driver = the single thread of §3).
@@ -61,7 +60,7 @@ object ExDPC extends DPCAlgorithm {
     val t2 = System.nanoTime()
 
     new DPCResult(rho, depId, delta,
-      PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L),
+      PhaseTimes.between(t0, t1, t2),
       math.max(tree.memBytes, inc.memBytes))
   }
 }

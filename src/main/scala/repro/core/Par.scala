@@ -9,7 +9,8 @@ import scala.reflect.ClassTag
   * Every parallel phase builds groups of item indices and runs them through
   * [[mapGroups]]: one RDD stage with one partition, hence one Spark task, per
   * group. Each task returns one block of primitive arrays for its group, and
-  * [[scatter]] puts the blocks' values back at their items' indices. Three
+  * [[scatter]] puts the blocks' values back at their items' indices;
+  * [[mapItems]] is that loop for a per-item kernel. Three
   * group builders mirror the paper's scheduling modes:
   *
   *  - [[lpt]] — the cost-based partitioning of §4.5: work units are packed
@@ -110,6 +111,23 @@ object Par {
       f: Array[Int] => Iterator[T]
   ): Array[T] =
     mapGroups(spark, indexed(spark, n, oversub))(g => f(g).toArray).flatten
+
+  /** `kernel`'s result for every item of `groups` (which together hold
+    * `0 until n` once), placed by item index: each group runs in its own task,
+    * as [[mapGroups]] does, where `kernel()` makes the per-item function once.
+    * The factory should read only broadcasts, so that the task stays small.
+    * Specialized, so `Int` and `Double` results are not boxed.
+    */
+  def mapItems[@specialized(Int, Double) T: ClassTag](spark: SparkSession, n: Int, groups: Array[Array[Int]])(
+      kernel: () => Int => T
+  ): Array[T] =
+    scatter(n, groups, mapGroups(spark, groups) { idxs =>
+      val f   = kernel()
+      val out = new Array[T](idxs.length)
+      var k = 0
+      while (k < idxs.length) { out(k) = f(idxs(k)); k += 1 }
+      out
+    })
 
   /** An array of length `n` holding `blocks(g)(k)` at index `groups(g)(k)`:
     * the per-group results of [[mapGroups]] placed by item index.

@@ -50,9 +50,6 @@ final class Pts(val n: Int, val d: Int, val data: Array[Double], val ids: Array[
 
   /** Euclidean distance between points i and j. */
   @inline def dist(i: Int, j: Int): Double = math.sqrt(dist2(i, j))
-
-  /** Bytes held by the raw coordinate + id arrays. */
-  def dataBytes: Long = 8L * data.length + 8L * ids.length
 }
 
 object Pts {

@@ -19,19 +19,16 @@ object RTreeScanDPC extends DPCAlgorithm {
     // The tree holds the points, so they are shipped once, inside it, for
     // both phases.
     val bcTree = spark.sparkContext.broadcast(tree)
-    val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-      val t = bcTree.value
-      // rangeCount includes the query point itself (distance 0): subtract it.
-      i => t.rangeCount(t.pts.point(i), dcut) - 1
-    }
-    val t1 = System.nanoTime()
+    try {
+      val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+        val t = bcTree.value
+        // rangeCount includes the query point itself (distance 0): subtract it.
+        i => t.rangeCount(t.pts.point(i), dcut) - 1
+      }
+      val t1 = System.nanoTime()
 
-    val (depId, delta) = ScanDependents.compute(spark, () => bcTree.value.pts, rho)
-    val t2 = System.nanoTime()
-    val mem = tree.memBytes
-    bcTree.destroy()
-
-    new DPCResult(rho, depId, delta,
-      PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), mem)
+      val (depId, delta) = ScanDependents.compute(spark, () => bcTree.value.pts, rho)
+      new DPCResult(rho, depId, delta, PhaseTimes.between(t0, t1, System.nanoTime()), tree.memBytes)
+    } finally bcTree.destroy()
   }
 }

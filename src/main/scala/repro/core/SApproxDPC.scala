@@ -39,7 +39,7 @@ object SApproxDPC extends DPCAlgorithm {
       } else if (pPrime.nonEmpty) temporalClusters(pts, pass.rho, picked, pPrime, pass.depId, pass.delta)
       val t2 = System.nanoTime()
       new DPCResult(pass.rho, pass.depId, pass.delta,
-        PhaseTimes((pass.t1 - t0) / 1000000L, (t2 - pass.t1) / 1000000L), pass.memBytes + 8L * picked.length)
+        PhaseTimes.between(t0, pass.t1, t2), pass.memBytes + 8L * picked.length)
     }
   }
 

@@ -15,25 +15,23 @@ object ScanDPC extends DPCAlgorithm {
 
     val t0    = System.nanoTime()
     val bcPts = spark.sparkContext.broadcast(pts)
-    val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-      val p = bcPts.value
-      i => {
-        var cnt = 0
-        var j = 0
-        while (j < p.n) {
-          if (j != i && p.dist2(i, j) < dcut2) cnt += 1
-          j += 1
+    try {
+      val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+        val p = bcPts.value
+        i => {
+          var cnt = 0
+          var j = 0
+          while (j < p.n) {
+            if (j != i && p.dist2(i, j) < dcut2) cnt += 1
+            j += 1
+          }
+          cnt
         }
-        cnt
       }
-    }
-    val t1 = System.nanoTime()
+      val t1 = System.nanoTime()
 
-    val (depId, delta) = ScanDependents.compute(spark, () => bcPts.value, rho)
-    val t2 = System.nanoTime()
-    bcPts.destroy()
-
-    new DPCResult(rho, depId, delta,
-      PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), memBytes = 0L)
+      val (depId, delta) = ScanDependents.compute(spark, () => bcPts.value, rho)
+      new DPCResult(rho, depId, delta, PhaseTimes.between(t0, t1, System.nanoTime()), memBytes = 0L)
+    } finally bcPts.destroy()
   }
 }

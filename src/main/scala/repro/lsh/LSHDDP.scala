@@ -53,92 +53,84 @@ object LSHDDP extends DPCAlgorithm {
     val bcBkt = sc.broadcast(buckets)
     val bcBof = sc.broadcast(bucketOf)
     val groups = Par.ranges(n, sc.defaultParallelism)
-
-    /** Distinct bucket mates of i across the M tables (excluding i). */
-    def candidates(p: Pts, bkt: Array[Array[Array[Int]]], bof: Array[Array[Int]], i: Int): Array[Int] = {
-      val seen = new mutable.ArrayBuilder.ofInt
-      var t = 0
-      while (t < bkt.length) {
-        val bs = bkt(t)(bof(t)(i))
-        var z = 0
-        while (z < bs.length) { if (bs(z) != i) seen += bs(z); z += 1 }
-        t += 1
-      }
-      val all = seen.result()
-      java.util.Arrays.sort(all)
-      // dedupe in place
-      var w = 0
-      var r = 0
-      while (r < all.length) {
-        if (w == 0 || all(r) != all(w - 1)) { all(w) = all(r); w += 1 }
-        r += 1
-      }
-      java.util.Arrays.copyOf(all, w)
-    }
-
-    val rho = Density.rho(spark, n, groups) { () =>
-      val p   = bcPts.value
-      val bkt = bcBkt.value
-      val bof = bcBof.value
-      i => {
-        val cand = candidates(p, bkt, bof, i)
-        var cnt = 0
-        var z = 0
-        while (z < cand.length) { if (p.dist2(i, cand(z)) < dcut2) cnt += 1; z += 1 }
-        cnt
-      }
-    }
-    val t1 = System.nanoTime()
-
-    // Dependent: nearest denser bucket mate, else exact full scan.
-    val bcRho = sc.broadcast(rho)
-    val depOut = Par.mapGroups(spark, groups) { idxs =>
-      val p     = bcPts.value
-      val bkt   = bcBkt.value
-      val bof   = bcBof.value
-      val rh    = bcRho.value
-      val dep   = new Array[Int](idxs.length)
-      val delta = new Array[Double](idxs.length)
-      var k = 0
-      while (k < idxs.length) {
-        val i    = idxs(k)
-        val cand = candidates(p, bkt, bof, i)
-        var bestId = -1
-        var bestD2 = Double.PositiveInfinity
-        var z = 0
-        while (z < cand.length) {
-          val j = cand(z)
-          if (rh(j) > rh(i)) {
-            val d2 = p.dist2(i, j)
-            if (d2 < bestD2) { bestD2 = d2; bestId = j }
-          }
-          z += 1
+    try {
+      val rho = Density.rho(spark, n, groups) { () =>
+        val p   = bcPts.value
+        val bkt = bcBkt.value
+        val bof = bcBof.value
+        i => {
+          val cand = candidates(bkt, bof, i)
+          var cnt = 0
+          var z = 0
+          while (z < cand.length) { if (p.dist2(i, cand(z)) < dcut2) cnt += 1; z += 1 }
+          cnt
         }
-        if (bestId < 0) {
-          // fallback: exact scan of the whole P
-          var j = 0
-          while (j < p.n) {
+      }
+      val t1 = System.nanoTime()
+
+      // Dependent: nearest denser bucket mate, else exact full scan.
+      val bcRho = sc.broadcast(rho)
+      val (depId, delta) = try Dependents.search(spark, pts, Array.range(0, n), groups) { () =>
+        val p   = bcPts.value
+        val bkt = bcBkt.value
+        val bof = bcBof.value
+        val rh  = bcRho.value
+        i => {
+          val cand   = candidates(bkt, bof, i)
+          var bestId = -1
+          var bestD2 = Double.PositiveInfinity
+          var z = 0
+          while (z < cand.length) {
+            val j = cand(z)
             if (rh(j) > rh(i)) {
               val d2 = p.dist2(i, j)
               if (d2 < bestD2) { bestD2 = d2; bestId = j }
             }
-            j += 1
+            z += 1
           }
+          if (bestId < 0) {
+            // fallback: exact scan of the whole P
+            var j = 0
+            while (j < p.n) {
+              if (rh(j) > rh(i)) {
+                val d2 = p.dist2(i, j)
+                if (d2 < bestD2) { bestD2 = d2; bestId = j }
+              }
+              j += 1
+            }
+          }
+          bestId
         }
-        dep(k) = bestId
-        delta(k) = if (bestId < 0) Double.PositiveInfinity else math.sqrt(bestD2)
-        k += 1
-      }
-      (dep, delta)
-    }
-    val depId = Par.scatter(n, groups, depOut.map(_._1))
-    val delta = Par.scatter(n, groups, depOut.map(_._2))
-    val t2 = System.nanoTime()
-    bcPts.destroy(); bcBkt.destroy(); bcBof.destroy(); bcRho.destroy()
+      } finally bcRho.destroy()
+      val t2 = System.nanoTime()
 
-    val mem = lsh.paramBytes + m.toLong * n * 8L + // per-table bucket ids + member arrays
-      buckets.iterator.map(bs => bs.iterator.map(b => 16L + 4L * b.length).sum).sum
-    new DPCResult(rho, depId, delta,
-      PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), mem)
+      val mem = lsh.paramBytes + m.toLong * n * 8L + // per-table bucket ids + member arrays
+        buckets.iterator.map(bs => bs.iterator.map(b => 16L + 4L * b.length).sum).sum
+      new DPCResult(rho, depId, delta, PhaseTimes.between(t0, t1, t2), mem)
+    } finally {
+      bcPts.destroy(); bcBkt.destroy(); bcBof.destroy()
+    }
+  }
+
+  /** Distinct bucket mates of i across the M tables (excluding i). */
+  private def candidates(bkt: Array[Array[Array[Int]]], bof: Array[Array[Int]], i: Int): Array[Int] = {
+    val seen = new mutable.ArrayBuilder.ofInt
+    var t = 0
+    while (t < bkt.length) {
+      val bs = bkt(t)(bof(t)(i))
+      var z = 0
+      while (z < bs.length) { if (bs(z) != i) seen += bs(z); z += 1 }
+      t += 1
+    }
+    val all = seen.result()
+    java.util.Arrays.sort(all)
+    // dedupe in place
+    var w = 0
+    var r = 0
+    while (r < all.length) {
+      if (w == 0 || all(r) != all(w - 1)) { all(w) = all(r); w += 1 }
+      r += 1
+    }
+    java.util.Arrays.copyOf(all, w)
   }
 }

@@ -89,6 +89,24 @@ object TestUtil {
     (depId, delta)
   }
 
+  /** [[bruteDependents]] with Scan's tie rule: among the nearest denser
+    * points, the densest.
+    */
+  def bruteDependentsDensestTie(pts: Pts, rho: Array[Double]): Array[Int] =
+    Array.tabulate(pts.n) { i =>
+      var bestId = -1
+      var bestD2 = Double.PositiveInfinity
+      var j = 0
+      while (j < pts.n) {
+        if (rho(j) > rho(i)) {
+          val d2 = pts.dist2(i, j)
+          if (d2 < bestD2 || (d2 == bestD2 && rho(j) > rho(bestId))) { bestD2 = d2; bestId = j }
+        }
+        j += 1
+      }
+      bestId
+    }
+
   /** Brute-force range count with strict radius. */
   def bruteRangeCount(pts: Pts, q: Array[Double], r: Double): Int = {
     val r2 = r * r
@@ -117,6 +135,12 @@ object TestUtil {
     before.destroy(); after.destroy()
     after.id - before.id - 1
   }
+
+  /** Ids of the broadcasts that are still alive: those with a block in the
+    * driver's block manager.
+    */
+  def liveBroadcasts(spark: SparkSession): Set[Long] =
+    org.apache.spark.BlockManagerAccess.broadcastIds(spark.sparkContext).toSet
 
   /** Runs `body` under its own job group and returns the number of jobs and
     * completed stages it ran and the shuffle bytes its tasks wrote.

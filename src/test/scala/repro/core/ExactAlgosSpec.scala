@@ -1,33 +1,42 @@
 package repro.core
 
+import org.apache.spark.SparkException
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 import repro.{SparkSpec, TestUtil}
 import repro.cfsfdp.CFSFDPA
 
-/** The four exact paths (brute reference, Scan, R-tree + Scan, Ex-DPC,
-  * CFSFDP-A) must agree bit-for-bit on densities and (up to distance ties) on
-  * dependent distances.
+/** The four exact paths (Scan, R-tree + Scan, Ex-DPC, CFSFDP-A) must agree
+  * bit for bit with the brute reference on densities and dependent distances.
   */
 class ExactAlgosSpec extends SparkSpec {
 
-  private def checkAgainstBrute(res: DPCResult, pts: Pts, dcut: Double, algo: String): Unit = {
-    val rhoB = TestUtil.bruteRho(pts, dcut)
-    checkAgainst(res, pts, rhoB, TestUtil.bruteDependents(pts, rhoB)._2, algo)
+  /** Brute-force densities, `delta`, and `depId` under Scan's tie rule. */
+  private final class Brute(pts: Pts, dcut: Double) {
+    val rho        = TestUtil.bruteRho(pts, dcut)
+    val (depSmallest, delta) = TestUtil.bruteDependents(pts, rho)
+    val depDensest = TestUtil.bruteDependentsDensestTie(pts, rho)
   }
 
-  /** `rho` equal to `rhoB`, `delta` within 1e-7 of `deltaB`, every dependent
-    * point denser.
+  /** `rho` and `delta` bit-identical to brute force, every dependent point
+    * denser, and for the algorithms whose dependent phase is
+    * [[ScanDependents]], the densest of the nearest denser points.
     */
-  private def checkAgainst(res: DPCResult, pts: Pts, rhoB: Array[Double], deltaB: Array[Double], algo: String): Unit = {
-    assert(res.rho.toSeq === rhoB.toSeq, s"$algo: densities differ from brute force")
+  private def check(res: DPCResult, pts: Pts, b: Brute, algo: DPCAlgorithm): Unit = {
+    assert(res.rho.toSeq === b.rho.toSeq, s"${algo.name}: densities differ from brute force")
     var i = 0
     while (i < pts.n) {
-      if (deltaB(i).isInfinity) assert(res.delta(i).isInfinity, s"$algo: point $i should be the peak")
-      else assert(math.abs(res.delta(i) - deltaB(i)) < 1e-7, s"$algo: delta($i) ${res.delta(i)} != ${deltaB(i)}")
+      assert(java.lang.Double.compare(res.delta(i), b.delta(i)) == 0, s"${algo.name}: delta($i) ${res.delta(i)} != ${b.delta(i)}")
       // the dependent point must be denser (valid forest edge)
-      if (res.depId(i) >= 0) assert(res.rho(res.depId(i)) > res.rho(i), s"$algo: dep of $i not denser")
+      if (res.depId(i) >= 0) assert(res.rho(res.depId(i)) > res.rho(i), s"${algo.name}: dep of $i not denser")
+      if (scanDependents(algo))
+        assert(res.depId(i) === b.depDensest(i), s"${algo.name}: depId($i) is not the densest nearest denser point")
       i += 1
     }
   }
+
+  private val exact          = Seq[DPCAlgorithm](ScanDPC, ExDPC, RTreeScanDPC, CFSFDPA)
+  private val scanDependents = Set[DPCAlgorithm](ScanDPC, RTreeScanDPC, CFSFDPA)
 
   private val configs = Seq(
     (2, 300, 40.0, "2d/300"),
@@ -37,51 +46,39 @@ class ExactAlgosSpec extends SparkSpec {
     (8, 200, 300.0, "8d/200")
   )
 
+  // Every path sums the same squared differences as brute force, in
+  // coordinate order, so `delta` is bit-identical, not just close.
   for ((d, n, dcut, tag) <- configs) {
-    lazy val pts = TestUtil.clusteredPts(n, d, k = 3, sigma = dcut, domain = 1000.0, seed = 500L + d)
-
-    test(s"Scan matches brute force ($tag)") {
-      checkAgainstBrute(ScanDPC.run(spark, pts, DPCParams(dcut)), pts, dcut, "Scan")
-    }
-    test(s"Ex-DPC matches brute force ($tag)") {
-      val res = ExDPC.run(spark, pts, DPCParams(dcut))
-      checkAgainstBrute(res, pts, dcut, "Ex-DPC")
-      // The kd-tree sums the same squared differences as brute force, so
-      // Ex-DPC's delta is bit-identical, not just close.
-      val (_, deltaB) = TestUtil.bruteDependents(pts, res.rho)
-      (0 until pts.n).foreach { i =>
-        assert(java.lang.Double.compare(res.delta(i), deltaB(i)) == 0, s"Ex-DPC: delta($i) ${res.delta(i)} != ${deltaB(i)}")
-      }
-    }
-    test(s"R-tree + Scan matches brute force ($tag)") {
-      checkAgainstBrute(RTreeScanDPC.run(spark, pts, DPCParams(dcut)), pts, dcut, "R-tree + Scan")
-    }
-    test(s"CFSFDP-A matches brute force ($tag)") {
-      checkAgainstBrute(CFSFDPA.run(spark, pts, DPCParams(dcut)), pts, dcut, "CFSFDP-A")
+    lazy val pts   = TestUtil.clusteredPts(n, d, k = 3, sigma = dcut, domain = 1000.0, seed = 500L + d)
+    lazy val brute = new Brute(pts, dcut)
+    for (algo <- exact) test(s"${algo.name} matches brute force ($tag)") {
+      check(algo.run(spark, pts, DPCParams(dcut)), pts, brute, algo)
     }
   }
 
   // Step 10 and dcut 20: about 9 copies per position, and every pair two
   // steps apart lies exactly at dcut (as in ApproxDPCSpec).
   private lazy val dup = {
-    val pts  = TestUtil.quantizedPts(20000, 2, k = 4, sigma = 40.0, domain = 1000.0, step = 10.0, seed = 650)
-    val rhoB = TestUtil.bruteRho(pts, 20.0)
-    (pts, rhoB, TestUtil.bruteDependents(pts, rhoB)._2)
+    val pts = TestUtil.quantizedPts(20000, 2, k = 4, sigma = 40.0, domain = 1000.0, step = 10.0, seed = 650)
+    (pts, new Brute(pts, 20.0))
   }
 
   for (algo <- Seq[DPCAlgorithm](ScanDPC, RTreeScanDPC, CFSFDPA, ExDPC)) {
     test(s"${algo.name}: 20k duplicate-heavy points on a quantized grid match brute force") {
-      val (pts, rhoB, deltaB) = dup
+      val (pts, brute) = dup
       assert(TestUtil.distinctPositions(pts) < pts.n / 4)
-      checkAgainst(algo.run(spark, pts, DPCParams(dcut = 20.0)), pts, rhoB, deltaB, algo.name)
+      // The tie rule is exercised: the smallest and the densest of the
+      // nearest denser points differ somewhere.
+      assert(brute.depSmallest.toSeq != brute.depDensest.toSeq)
+      check(algo.run(spark, pts, DPCParams(dcut = 20.0)), pts, brute, algo)
     }
   }
 
   // Scan's dependent phase reads the point set its density phase broadcast.
   // Besides one task binary per Spark stage, a Scan run broadcasts the points
-  // and the dependent phase's order and rank; CFSFDP-A adds its three pivot
+  // and the dependent phase's density order; CFSFDP-A adds its three pivot
   // structures. R-tree + Scan ships the points inside its tree.
-  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 2), (RTreeScanDPC, 2), (CFSFDPA, 5))) {
+  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 1), (RTreeScanDPC, 1), (CFSFDPA, 4))) {
     test(s"${algo.name} broadcasts the point set once per run") {
       val pts = TestUtil.clusteredPts(2000, 2, k = 3, sigma = 30.0, domain = 1000.0, seed = 512)
       var bcasts = 0L
@@ -89,6 +86,24 @@ class ExactAlgosSpec extends SparkSpec {
         bcasts = TestUtil.broadcastsIn(spark)(algo.run(spark, pts, DPCParams(dcut = 40.0)))
       }
       assert(bcasts === stages + 1 + others)
+    }
+  }
+
+  test("ScanDependents releases its broadcasts when a task fails") {
+    val rho    = Array.tabulate(1000)(i => (i % 13) + Jitter.frac(i))
+    val before = TestUtil.liveBroadcasts(spark)
+    var end    = 0L // the first broadcast id after the call
+    val (_, stages, _) = TestUtil.sparkWork(spark) {
+      intercept[SparkException](ScanDependents.compute(spark, () => throw new IllegalStateException("no points"), rho))
+      val mark = spark.sparkContext.broadcast(0)
+      end = mark.id
+      mark.destroy()
+    }
+    assert(stages >= 1)
+    // Destroying a broadcast removes its blocks asynchronously. Only the task
+    // binaries, one per stage, may remain.
+    eventually(timeout(Span(10, Seconds))) {
+      assert((TestUtil.liveBroadcasts(spark) -- before).count(_ < end) <= stages)
     }
   }
 

@@ -158,6 +158,33 @@ class ParSpec extends SparkSpec {
     assert(Par.lpt(Array(1.0, 3.0, 3.0, 5.0), 3).map(_.toSeq).toSeq === Seq(Seq(3), Seq(1, 0), Seq(2)))
   }
 
+  test("mapItems runs the kernel once per item and the factory once per group, placed by item index") {
+    val rnd = new Random(73)
+    val n   = 1013
+    val sc  = spark.sparkContext
+    for (groups <- Seq(Par.lpt(Array.fill(n)(rnd.nextDouble()), 6), Par.indexed(spark, n), Par.ranges(n, 7))) {
+      val factories = sc.longAccumulator
+      val items     = sc.longAccumulator
+      val ints = Par.mapItems(spark, n, groups) { () =>
+        factories.add(1)
+        i => { items.add(1); 3 * i + 1 }
+      }
+      val doubles = Par.mapItems(spark, n, groups)(() => i => i * 0.5)
+      assert(ints.toSeq === (0 until n).map(3 * _ + 1))
+      assert(doubles.toSeq === (0 until n).map(_ * 0.5))
+      assert((factories.value, items.value) === ((groups.length.toLong, n.toLong)))
+    }
+  }
+
+  test("mapItems runs one group on the driver with no Spark job, and n = 0 gives an empty array") {
+    var out = Array.empty[Int]
+    assert(TestUtil.sparkWork(spark) { out = Par.mapItems(spark, 5, Array(Array(3, 0, 4, 1, 2)))(() => i => i * i) } ===
+      ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
+    assert(out.toSeq === Seq(0, 1, 4, 9, 16))
+    assert(Par.mapItems(spark, 0, Par.indexed(spark, 0))(() => _ => 1.0).isEmpty)
+    assert(Par.mapItems(spark, 0, Par.lpt(Array.empty[Double], 4))(() => i => i).isEmpty)
+  }
+
   test("scatter puts each block value at its group's item index") {
     // Groups out of order, with empty groups among them.
     val groups = Array(Array(4, 0), Array.empty[Int], Array(2), Array(5, 1, 3), Array.empty[Int])
