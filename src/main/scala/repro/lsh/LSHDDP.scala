@@ -53,6 +53,29 @@ object LSHDDP extends DPCAlgorithm {
     val bcBkt = sc.broadcast(buckets)
     val bcBof = sc.broadcast(bucketOf)
     val groups = Par.ranges(n, sc.defaultParallelism)
+
+    /** Distinct bucket mates of i across the M tables (excluding i). */
+    def candidates(bkt: Array[Array[Array[Int]]], bof: Array[Array[Int]], i: Int): Array[Int] = {
+      val seen = new mutable.ArrayBuilder.ofInt
+      var t = 0
+      while (t < bkt.length) {
+        val bs = bkt(t)(bof(t)(i))
+        var z = 0
+        while (z < bs.length) { if (bs(z) != i) seen += bs(z); z += 1 }
+        t += 1
+      }
+      val all = seen.result()
+      java.util.Arrays.sort(all)
+      // dedupe in place
+      var w = 0
+      var r = 0
+      while (r < all.length) {
+        if (w == 0 || all(r) != all(w - 1)) { all(w) = all(r); w += 1 }
+        r += 1
+      }
+      java.util.Arrays.copyOf(all, w)
+    }
+
     try {
       val rho = Density.rho(spark, n, groups) { () =>
         val p   = bcPts.value
@@ -110,27 +133,5 @@ object LSHDDP extends DPCAlgorithm {
     } finally {
       bcPts.destroy(); bcBkt.destroy(); bcBof.destroy()
     }
-  }
-
-  /** Distinct bucket mates of i across the M tables (excluding i). */
-  private def candidates(bkt: Array[Array[Array[Int]]], bof: Array[Array[Int]], i: Int): Array[Int] = {
-    val seen = new mutable.ArrayBuilder.ofInt
-    var t = 0
-    while (t < bkt.length) {
-      val bs = bkt(t)(bof(t)(i))
-      var z = 0
-      while (z < bs.length) { if (bs(z) != i) seen += bs(z); z += 1 }
-      t += 1
-    }
-    val all = seen.result()
-    java.util.Arrays.sort(all)
-    // dedupe in place
-    var w = 0
-    var r = 0
-    while (r < all.length) {
-      if (w == 0 || all(r) != all(w - 1)) { all(w) = all(r); w += 1 }
-      r += 1
-    }
-    java.util.Arrays.copyOf(all, w)
   }
 }
