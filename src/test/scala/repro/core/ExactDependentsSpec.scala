@@ -168,6 +168,14 @@ class ExactDependentsSpec extends SparkSpec {
     assert(ExactDependents.compute(spark, pts, rho, Array.tabulate(20)(identity), Array.empty).isEmpty)
     assert(ExactDependents.compute(spark, pts, rho, Array.empty, Array(3)).toSeq ===
       Seq((3, -1, Double.PositiveInfinity)))
+    // The broadcast overload answers both through its general search.
+    val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, Array.range(0, pts.n)))
+    try {
+      val (dep0, delta0) = ExactDependents.compute(spark, tree, pts, rho, Array.range(0, pts.n), Array.empty)
+      assert(dep0.isEmpty && delta0.isEmpty)
+      val (dep1, delta1) = ExactDependents.compute(spark, tree, pts, rho, Array.empty, Array(3))
+      assert(dep1.toSeq === Seq(-1) && delta1.toSeq === Seq(Double.PositiveInfinity))
+    } finally tree.destroy()
   }
 
   test("memBytes models the tree's leaf-order arrays, node arrays and boxes") {
