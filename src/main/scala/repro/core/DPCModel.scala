@@ -43,6 +43,10 @@ final case class DPCParams(
   require(dcut > 0, "dcut must be positive")
   require(epsilon > 0, "epsilon must be positive")
   require(deltaMin > dcut, s"deltaMin ($deltaMin) must exceed dcut ($dcut) (Definition 5)")
+  require(lshTables >= 1, s"lshTables ($lshTables) must be at least 1")
+  require(lshLen >= 1, s"lshLen ($lshLen) must be at least 1")
+  require(lshWidthFactor > 0 && !lshWidthFactor.isInfinite,
+    s"lshWidthFactor ($lshWidthFactor) must be finite and positive")
 }
 
 /** Wall-clock decomposition mirroring Table 6: rho phase vs delta phase. */

@@ -2,7 +2,7 @@ package repro.lsh
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import scala.collection.immutable.ArraySeq
+import repro.grid.Grid
 import scala.collection.mutable
 
 /** LSH-DDP (Zhang et al., TKDE 2016) — the state-of-the-art approximation
@@ -29,39 +29,23 @@ object LSHDDP extends DPCAlgorithm {
     val lsh   = new PStableLSH(pts.d, m, params.lshLen, params.lshWidthFactor * params.dcut, seed = 7L)
 
     val t0 = System.nanoTime()
-    // Bucketize: per table, map compound key -> dense bucket id -> members.
-    val bucketOf = Array.ofDim[Int](m, n)
-    val buckets  = new Array[Array[Array[Int]]](m)
-    var tb = 0
-    while (tb < m) {
-      val index   = mutable.HashMap.empty[ArraySeq[Int], Int]
-      val members = mutable.ArrayBuffer.empty[mutable.ArrayBuilder.ofInt]
-      var i = 0
-      while (i < n) {
-        val key = ArraySeq.unsafeWrapArray(lsh.key(tb, pts.point(i)).toArray)
-        val b = index.getOrElseUpdate(key, { members += new mutable.ArrayBuilder.ofInt; members.length - 1 })
-        bucketOf(tb)(i) = b
-        members(b) += i
-        i += 1
-      }
-      buckets(tb) = members.map(_.result()).toArray
-      tb += 1
-    }
+    // Table t's buckets are the cells of side w of P's projection.
+    val grids = Array.tabulate(m)(t => new Grid(lsh.project(t, pts), lsh.w))
 
-    val sc    = spark.sparkContext
-    val bcPts = sc.broadcast(pts)
-    val bcBkt = sc.broadcast(buckets)
-    val bcBof = sc.broadcast(bucketOf)
-    val groups = Par.ranges(n, sc.defaultParallelism)
+    val sc      = spark.sparkContext
+    val bcPts   = sc.broadcast(pts)
+    val bcGrids = sc.broadcast(grids)
+    val groups  = Par.ranges(n, sc.defaultParallelism)
 
     /** Distinct bucket mates of i across the M tables (excluding i). */
-    def candidates(bkt: Array[Array[Array[Int]]], bof: Array[Array[Int]], i: Int): Array[Int] = {
+    def candidates(grids: Array[Grid], i: Int): Array[Int] = {
       val seen = new mutable.ArrayBuilder.ofInt
       var t = 0
-      while (t < bkt.length) {
-        val bs = bkt(t)(bof(t)(i))
-        var z = 0
-        while (z < bs.length) { if (bs(z) != i) seen += bs(z); z += 1 }
+      while (t < grids.length) {
+        val g = grids(t)
+        val c = g.cellOf(i)
+        var z = g.start(c)
+        while (z < g.start(c + 1)) { if (g.members(z) != i) seen += g.members(z); z += 1 }
         t += 1
       }
       val all = seen.result()
@@ -78,11 +62,10 @@ object LSHDDP extends DPCAlgorithm {
 
     try {
       val rho = Density.rho(spark, n, groups) { () =>
-        val p   = bcPts.value
-        val bkt = bcBkt.value
-        val bof = bcBof.value
+        val p     = bcPts.value
+        val grids = bcGrids.value
         i => {
-          val cand = candidates(bkt, bof, i)
+          val cand = candidates(grids, i)
           var cnt = 0
           var z = 0
           while (z < cand.length) { if (p.dist2(i, cand(z)) < dcut2) cnt += 1; z += 1 }
@@ -94,12 +77,11 @@ object LSHDDP extends DPCAlgorithm {
       // Dependent: nearest denser bucket mate, else exact full scan.
       val bcRho = sc.broadcast(rho)
       val (depId, delta) = try Dependents.search(spark, pts, Array.range(0, n), groups) { () =>
-        val p   = bcPts.value
-        val bkt = bcBkt.value
-        val bof = bcBof.value
-        val rh  = bcRho.value
+        val p     = bcPts.value
+        val grids = bcGrids.value
+        val rh    = bcRho.value
         i => {
-          val cand   = candidates(bkt, bof, i)
+          val cand   = candidates(grids, i)
           var bestId = -1
           var bestD2 = Double.PositiveInfinity
           var z = 0
@@ -127,11 +109,11 @@ object LSHDDP extends DPCAlgorithm {
       } finally bcRho.destroy()
       val t2 = System.nanoTime()
 
-      val mem = lsh.paramBytes + m.toLong * n * 8L + // per-table bucket ids + member arrays
-        buckets.iterator.map(bs => bs.iterator.map(b => 16L + 4L * b.length).sum).sum
+      // Per table: bucket ids, and a member array (16-byte header) per bucket.
+      val mem = lsh.paramBytes + 8L * m * n + grids.iterator.map(g => 16L * g.nCells + 4L * n).sum
       new DPCResult(rho, depId, delta, PhaseTimes.between(t0, t1, t2), mem)
     } finally {
-      bcPts.destroy(); bcBkt.destroy(); bcBof.destroy()
+      bcPts.destroy(); bcGrids.destroy()
     }
   }
 }

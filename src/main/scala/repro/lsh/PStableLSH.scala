@@ -1,5 +1,7 @@
 package repro.lsh
 
+import repro.core.Pts
+import repro.grid.Grid
 import scala.util.Random
 
 /** p-stable locality-sensitive hashing (Datar et al. 2004).
@@ -22,20 +24,24 @@ final class PStableLSH(val d: Int, val m: Int, val l: Int, val w: Double, seed: 
     Array.fill(m, l)(rnd.nextDouble() * w)
   }
 
-  /** Compound key of point `p` in table `table` (length-`l` vector). */
-  def key(table: Int, p: Array[Double]): Seq[Int] = {
-    val out = new Array[Int](l)
-    var i = 0
-    while (i < l) {
+  /** The projection of `pts` for table `table`: row `i` holds
+    * `a_k . p_i + b_k` for `k = 0 until l`. A bucket of the table is a cell
+    * of side `w` of this projection.
+    */
+  def project(table: Int, pts: Pts): Pts = {
+    val out = Array.tabulate(pts.n * l) { r =>
+      val ak  = a(table)(r % l)
       var dot = 0.0
-      var j = 0
-      val ai = a(table)(i)
-      while (j < d) { dot += ai(j) * p(j); j += 1 }
-      out(i) = math.floor((dot + b(table)(i)) / w).toInt
-      i += 1
+      var j   = 0
+      while (j < d) { dot += ak(j) * pts.coord(r / l, j); j += 1 }
+      dot + b(table)(r % l)
     }
-    out.toIndexedSeq
+    new Pts(pts.n, l, out, pts.ids)
   }
+
+  /** Compound key of point `p` in table `table`: its projection's grid cell. */
+  def key(table: Int, p: Array[Double]): Seq[Int] =
+    new Grid(project(table, Pts.fromArrays(d, Seq(p))), w).key(0).toSeq
 
   /** Modelled footprint of the hash parameters. */
   def paramBytes: Long = m.toLong * l * (8L * d + 8L)

@@ -5,6 +5,7 @@ import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 import repro.{SparkSpec, TestUtil}
 import repro.cfsfdp.CFSFDPA
+import repro.lsh.LSHDDP
 
 /** The four exact paths (Scan, R-tree + Scan, Ex-DPC, CFSFDP-A) must agree
   * bit for bit with the brute reference on densities and dependent distances.
@@ -77,8 +78,9 @@ class ExactAlgosSpec extends SparkSpec {
   // Scan's dependent phase reads the point set its density phase broadcast.
   // Besides one task binary per Spark stage, a Scan run broadcasts the points
   // and the dependent phase's density order; CFSFDP-A adds its three pivot
-  // structures. R-tree + Scan ships the points inside its tree.
-  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 1), (RTreeScanDPC, 1), (CFSFDPA, 4))) {
+  // structures. R-tree + Scan ships the points inside its tree. LSH-DDP adds
+  // its M tables, as one array of grids, and its densities.
+  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 1), (RTreeScanDPC, 1), (CFSFDPA, 4), (LSHDDP, 2))) {
     test(s"${algo.name} broadcasts the point set once per run") {
       val pts = TestUtil.clusteredPts(2000, 2, k = 3, sigma = 30.0, domain = 1000.0, seed = 512)
       var bcasts = 0L

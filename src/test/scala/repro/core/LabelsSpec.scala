@@ -93,6 +93,24 @@ class LabelsSpec extends AnyFunSuite {
     assert(DPCParams(dcut = 10.0, deltaMin = math.nextUp(10.0)).deltaMin > 10.0)
   }
 
+  test("DPCParams rejects LSH parameters LSH-DDP cannot hash with, naming the field") {
+    val bad = Seq(
+      ("lshTables (0)", () => DPCParams(dcut = 1.0, lshTables = 0)),
+      ("lshTables (-2)", () => DPCParams(dcut = 1.0, lshTables = -2)),
+      ("lshLen (0)", () => DPCParams(dcut = 1.0, lshLen = 0)),
+      ("lshWidthFactor (0.0)", () => DPCParams(dcut = 1.0, lshWidthFactor = 0.0)),
+      ("lshWidthFactor (-1.5)", () => DPCParams(dcut = 1.0, lshWidthFactor = -1.5)),
+      ("lshWidthFactor (NaN)", () => DPCParams(dcut = 1.0, lshWidthFactor = Double.NaN)),
+      ("lshWidthFactor (Infinity)", () => DPCParams(dcut = 1.0, lshWidthFactor = Double.PositiveInfinity))
+    )
+    bad.foreach { case (field, make) =>
+      val e = intercept[IllegalArgumentException](make())
+      assert(e.getMessage.contains(field), e.getMessage)
+    }
+    val ok = DPCParams(dcut = 1.0, lshTables = 1, lshLen = 1, lshWidthFactor = Double.MinPositiveValue)
+    assert(ok.lshTables === 1 && ok.lshLen === 1)
+  }
+
   test("Rand index: identical labelings score 1") {
     val a = Array(0, 0, 1, 1, 2, -1)
     assert(RandIndex.of(a, a) === 1.0)

@@ -15,6 +15,38 @@ class LSHDDPSpec extends SparkSpec {
     }
   }
 
+  test("densities count, bit for bit, the distinct bucket mates within dcut") {
+    Seq(
+      (TestUtil.quantizedPts(800, 2, k = 3, sigma = 30.0, domain = 1000.0, step = 5.0, seed = 806), 30.0),
+      (TestUtil.quantizedPts(800, 5, k = 3, sigma = 30.0, domain = 1000.0, step = 40.0, seed = 807), 60.0)
+    ).foreach { case (pts, dcut) =>
+      assert(TestUtil.distinctPositions(pts) < pts.n)
+      val params = DPCParams(dcut = dcut)
+      // LSH-DDP's hash family.
+      val lsh  = new PStableLSH(pts.d, params.lshTables, params.lshLen, params.lshWidthFactor * dcut, seed = 7L)
+      val keys = Array.tabulate(lsh.m, pts.n)((t, i) => lsh.key(t, pts.point(i)))
+      val rho  = Array.tabulate(pts.n) { i =>
+        (0 until pts.n).count { j =>
+          j != i && pts.dist2(i, j) < dcut * dcut && (0 until lsh.m).exists(t => keys(t)(i) == keys(t)(j))
+        } + Jitter.frac(i)
+      }
+      assert(LSHDDP.run(spark, pts, params).rho.toSeq === rho.toSeq, s"d = ${pts.d}")
+      // Some neighbour shares no bucket, so a count of all neighbours differs.
+      assert(rho.toSeq != TestUtil.bruteRho(pts, dcut).toSeq, s"d = ${pts.d}")
+    }
+  }
+
+  test("an LSH key outside the Int range fails before any Spark job") {
+    // w = 1e-12 and coordinates near 1e6 give keys near 1e18.
+    val pts = Pts.fromArrays(2, Seq(Array(1e6, 1e6), Array(1e6 + 1.0, 1e6 - 1.0), Array(-1e6, 1e6)))
+    var e: IllegalArgumentException = null
+    val (jobs, _, _) = TestUtil.sparkWork(spark) {
+      e = intercept[IllegalArgumentException](LSHDDP.run(spark, pts, DPCParams(dcut = 1.0, lshWidthFactor = 1e-12)))
+    }
+    assert(jobs === 0)
+    assert(e.getMessage.contains("side 1.0E-12") && e.getMessage.contains("outside the Int range"), e.getMessage)
+  }
+
   test("dependency edges point to denser points (valid forest)") {
     val pts = TestUtil.clusteredPts(500, 3, k = 3, sigma = 30.0, domain = 1000.0, seed = 801)
     val res = LSHDDP.run(spark, pts, DPCParams(dcut = 60.0))

@@ -2,6 +2,8 @@ package repro.lsh
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.grid.Grid
+import scala.collection.mutable
 import scala.util.Random
 
 class PStableLSHSpec extends AnyFunSuite {
@@ -49,6 +51,32 @@ class PStableLSHSpec extends AnyFunSuite {
   test("paramBytes positive") {
     val lsh = new PStableLSH(d = 4, m = 3, l = 2, w = 3.0, seed = 6)
     assert(lsh.paramBytes > 0)
+  }
+
+  test("a table's grid over the projection numbers buckets as the boxed keys do") {
+    Seq(
+      TestUtil.quantizedPts(3000, 2, k = 4, sigma = 40.0, domain = 1000.0, step = 10.0, seed = 9),
+      TestUtil.quantizedPts(3000, 5, k = 4, sigma = 40.0, domain = 1000.0, step = 40.0, seed = 10)
+    ).foreach { pts =>
+      assert(TestUtil.distinctPositions(pts) < pts.n)
+      val lsh = new PStableLSH(pts.d, m = 4, l = 2, w = 40.0, seed = 11)
+      (0 until lsh.m).foreach { t =>
+        val grid   = new Grid(lsh.project(t, pts), lsh.w)
+        // Buckets numbered in first-seen order on the boxed compound keys.
+        val index  = mutable.HashMap.empty[Seq[Int], Int]
+        val cellOf = Array.tabulate(pts.n)(i => index.getOrElseUpdate(lsh.key(t, pts.point(i)), index.size))
+        assert(grid.cellOf.toSeq === cellOf.toSeq, s"table $t")
+        assert(grid.nCells === index.size && grid.nCells > 1 && grid.nCells < pts.n / 2, s"table $t")
+        val members = (0 until pts.n).groupBy(i => cellOf(i))
+        grid.cells.zipWithIndex.foreach { case (cell, c) => assert(cell.toSeq === members(c), s"table $t, bucket $c") }
+      }
+    }
+  }
+
+  test("a key outside the Int range fails loudly instead of saturating") {
+    val lsh = new PStableLSH(d = 2, m = 1, l = 1, w = 1e-9, seed = 8)
+    val e   = intercept[IllegalArgumentException](lsh.key(0, Array(1e6, 1e6)))
+    assert(e.getMessage.contains("side 1.0E-9") && e.getMessage.contains("outside the Int range"), e.getMessage)
   }
 
   test("rejects invalid parameters") {
