@@ -29,7 +29,7 @@ object CFSFDPA extends DPCAlgorithm {
     val n     = pts.n
     val dcut  = params.dcut
     val dcut2 = dcut * dcut
-    val k     = math.max(2, math.min(n, math.ceil(math.sqrt(n.toDouble)).toInt))
+    val k     = math.min(n, math.max(2, math.ceil(math.sqrt(n.toDouble)).toInt))
 
     val t0 = System.nanoTime()
     val km = KMeans.fit(pts, k, iters = 5)

@@ -41,6 +41,8 @@ final case class DPCParams(
     lshWidthFactor: Double = 2.0
 ) {
   require(dcut > 0, "dcut must be positive")
+  // Every density kernel compares squared distances with dcut^2.
+  require(dcut * dcut > 0, s"dcut ($dcut) is so small that its square underflows to 0")
   require(epsilon > 0, "epsilon must be positive")
   require(deltaMin > dcut, s"deltaMin ($deltaMin) must exceed dcut ($dcut) (Definition 5)")
   require(lshTables >= 1, s"lshTables ($lshTables) must be at least 1")

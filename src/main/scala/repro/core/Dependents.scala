@@ -36,11 +36,13 @@ object Dependents {
   }
 }
 
-/** O(n^2)-style dependent-point search with early termination (§2.1 step 3):
-  * points are sorted by descending density and each point scans only the
-  * points ranked above it, so among equidistant denser points the densest
-  * wins. Shared by Scan, R-tree + Scan and CFSFDP-A (the paper runs CFSFDP-A
-  * with Scan's dependent phase).
+/** O(n^2) dependent-point search (§2.1 step 3): points are sorted by
+  * descending density and each point scans all the points ranked above it,
+  * keeping the first strict minimum of the distance, so among equidistant
+  * denser points the densest wins. Each task copies the points into
+  * [[Columns]] in that order, so the points ranked above the one at position
+  * `r` are rows `[0, r)`. Shared by Scan, R-tree + Scan and CFSFDP-A (the
+  * paper runs CFSFDP-A with Scan's dependent phase).
   */
 object ScanDependents {
 
@@ -63,20 +65,14 @@ object ScanDependents {
       // The query at position r scans the r points before it: LPT-balance by r.
       val groups = Par.lpt(Array.tabulate(n)(r => math.max(1.0, r.toDouble)), sc.defaultParallelism)
       val (dep, delta) = Dependents.search(spark, points(), order, groups) { () =>
-        val p  = points()
-        val od = bcOrder.value
+        val od  = bcOrder.value
+        val c   = new Columns(points(), od)
+        val q   = new Array[Double](c.d)
+        val acc = new Array[Double](Columns.Chunk)
         r => {
-          val i      = od(r)
-          var bestId = -1
-          var bestD2 = Double.PositiveInfinity
-          var s = 0
-          while (s < r) {
-            val j  = od(s)
-            val d2 = p.dist2(i, j)
-            if (d2 < bestD2) { bestD2 = d2; bestId = j }
-            s += 1
-          }
-          bestId
+          c.row(r, q)
+          val s = c.nearest(q, 0, r, acc)
+          if (s < 0) -1 else od(s)
         }
       }
       // From descending-density positions back to point ids.

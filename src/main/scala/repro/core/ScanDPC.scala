@@ -3,8 +3,9 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 
 /** The straightforward O(n^2) algorithm of §2.1: densities by full linear scan,
-  * dependent points by sorted scan with early termination. Both phases are
-  * embarrassingly parallel per point and run as Spark tasks.
+  * dependent points by a scan of the denser points ([[ScanDependents]]). Both
+  * phases are embarrassingly parallel per point, run as Spark tasks, and
+  * compute their distances with the [[Columns]] kernel.
   */
 object ScanDPC extends DPCAlgorithm {
   override val name = "Scan"
@@ -17,15 +18,13 @@ object ScanDPC extends DPCAlgorithm {
     val bcPts = spark.sparkContext.broadcast(pts)
     try {
       val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-        val p = bcPts.value
+        // Rows in id order; point i is left out by its row.
+        val c   = new Columns(bcPts.value, Array.range(0, n))
+        val q   = new Array[Double](c.d)
+        val acc = new Array[Double](Columns.Chunk)
         i => {
-          var cnt = 0
-          var j = 0
-          while (j < p.n) {
-            if (j != i && p.dist2(i, j) < dcut2) cnt += 1
-            j += 1
-          }
-          cnt
+          c.row(i, q)
+          c.count(q, 0, i, dcut2, acc) + c.count(q, i + 1, n, dcut2, acc)
         }
       }
       val t1 = System.nanoTime()

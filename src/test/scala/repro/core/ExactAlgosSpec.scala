@@ -122,21 +122,36 @@ class ExactAlgosSpec extends SparkSpec {
     }
   }
 
-  test("Ex-DPC: degenerate inputs (n=1, n=2, duplicates)") {
+  // n = 1 leaves the scans an empty range, and the densest point of any input
+  // an empty prefix of denser points.
+  for (algo <- exact) test(s"${algo.name}: degenerate inputs (n=1, n=2, duplicates)") {
     val one = Pts.fromArrays(2, Seq(Array(1.0, 1.0)))
-    val r1  = ExDPC.run(spark, one, DPCParams(dcut = 1.0))
+    val r1  = algo.run(spark, one, DPCParams(dcut = 1.0))
     assert(r1.delta(0).isInfinity && r1.depId(0) === -1)
+    assert(r1.rho(0) === Jitter.frac(0))
 
     val two = Pts.fromArrays(2, Seq(Array(0.0, 0.0), Array(3.0, 4.0)))
-    val r2  = ExDPC.run(spark, two, DPCParams(dcut = 10.0))
+    val r2  = algo.run(spark, two, DPCParams(dcut = 10.0))
     val peak = if (r2.rho(0) > r2.rho(1)) 0 else 1
-    assert(r2.delta(peak).isInfinity)
-    assert(math.abs(r2.delta(1 - peak) - 5.0) < 1e-9)
+    assert(r2.delta(peak).isInfinity && r2.depId(peak) === -1)
+    assert(r2.delta(1 - peak) === 5.0 && r2.depId(1 - peak) === peak)
 
     val dup = Pts.fromArrays(2, Seq.fill(5)(Array(2.0, 2.0)))
-    val rd  = ExDPC.run(spark, dup, DPCParams(dcut = 1.0))
+    val rd  = algo.run(spark, dup, DPCParams(dcut = 1.0))
+    assert(rd.rho.map(_.toLong).toSeq === Seq.fill(5)(4L))
     assert(rd.delta.count(_.isInfinity) === 1)
     assert(rd.delta.count(_ == 0.0) === 4)
+  }
+
+  // A dcut near the smallest DPCParams accepts has a subnormal square, which
+  // still counts a point's own zero distance in the tree range counts that
+  // subtract it.
+  test("a dcut with a subnormal square gives non-negative densities") {
+    val pts = Pts.fromArrays(2, Seq(Array(0.0, 0.0), Array(1.0, 0.0), Array(0.0, 1.0)))
+    exact.foreach { algo =>
+      val r = algo.run(spark, pts, DPCParams(dcut = 1e-160))
+      assert(r.rho.toSeq === (0 until 3).map(Jitter.frac), algo.name)
+    }
   }
 
   test("Ex-DPC: 20k identical points (one deep kd-tree chain) give one root and zero deltas") {

@@ -93,6 +93,14 @@ class LabelsSpec extends AnyFunSuite {
     assert(DPCParams(dcut = 10.0, deltaMin = math.nextUp(10.0)).deltaMin > 10.0)
   }
 
+  test("DPCParams rejects a dcut whose square underflows to 0, naming it") {
+    Seq(1e-170, 1e-162, Double.MinPositiveValue).foreach { dc =>
+      val e = intercept[IllegalArgumentException](DPCParams(dcut = dc))
+      assert(e.getMessage.contains(s"dcut ($dc)"), e.getMessage)
+    }
+    assert(DPCParams(dcut = 1e-160).dcut * 1e-160 > 0)
+  }
+
   test("DPCParams rejects LSH parameters LSH-DDP cannot hash with, naming the field") {
     val bad = Seq(
       ("lshTables (0)", () => DPCParams(dcut = 1.0, lshTables = 0)),
