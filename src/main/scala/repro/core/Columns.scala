@@ -14,7 +14,9 @@ package repro.core
   * A task builds its own `Columns` in its kernel factory, from the points it
   * already reads from a broadcast, so coordinates are still serialized once per
   * run. The buffers are the caller's: one per task, of any positive length;
-  * [[count]] and [[nearest]] work through a range in chunks of that length.
+  * [[count]] and [[nearest]] work through a range in chunks of that length,
+  * and each finishes the distances in its last column's pass, comparing each
+  * one as it is summed, so no separate pass reads the finished distances.
   */
 final class Columns(pts: Pts, rows: Array[Int]) {
   require(pts.d >= 1, "points have no coordinates")
@@ -39,48 +41,71 @@ final class Columns(pts: Pts, rows: Array[Int]) {
     * every `s` in `[lo, hi)`; `acc` must hold `hi - lo` values.
     */
   def dist2(q: Array[Double], lo: Int, hi: Int, acc: Array[Double]): Unit = {
+    partial(q, lo, hi, acc)
+    val c = cols(d - 1)
+    val x = q(d - 1)
+    var j = 0
+    while (j < hi - lo) { val t = c(lo + j) - x; acc(j) = if (d == 1) t * t else acc(j) + t * t; j += 1 }
+  }
+
+  /** Every column pass of [[dist2]] but the last: the squares of coordinates
+    * `0 until d - 1` summed into `acc`; nothing for `d = 1`, whose first pass
+    * is its last.
+    */
+  private def partial(q: Array[Double], lo: Int, hi: Int, acc: Array[Double]): Unit = {
     val len = hi - lo
-    var c   = cols(0)
-    var x   = q(0)
-    var j   = 0
-    while (j < len) { val t = c(lo + j) - x; acc(j) = t * t; j += 1 }
-    var k = 1
-    while (k < d) {
-      c = cols(k)
-      x = q(k)
-      j = 0
-      while (j < len) { val t = c(lo + j) - x; acc(j) += t * t; j += 1 }
+    var k = 0
+    while (k < d - 1) {
+      val c = cols(k)
+      val x = q(k)
+      var j = 0
+      if (k == 0) while (j < len) { val t = c(lo + j) - x; acc(j) = t * t; j += 1 }
+      else while (j < len) { val t = c(lo + j) - x; acc(j) += t * t; j += 1 }
       k += 1
     }
   }
 
-  /** Number of rows in `[lo, hi)` whose squared distance from `q` is below `r2`. */
+  /** Number of rows in `[lo, hi)` whose squared distance from `q` is below `r2`.
+    * The last column's pass finishes each distance and compares it at once.
+    */
   def count(q: Array[Double], lo: Int, hi: Int, r2: Double, acc: Array[Double]): Int = {
+    val c   = cols(d - 1)
+    val x   = q(d - 1)
     var cnt = 0
     var a   = lo
     while (a < hi) {
       val len = math.min(hi - a, acc.length)
-      dist2(q, a, a + len, acc)
+      partial(q, a, a + len, acc)
       var j = 0
-      while (j < len) { if (acc(j) < r2) cnt += 1; j += 1 }
+      while (j < len) {
+        val t  = c(a + j) - x
+        val d2 = if (d == 1) t * t else acc(j) + t * t
+        if (d2 < r2) cnt += 1
+        j += 1
+      }
       a += len
     }
     cnt
   }
 
   /** The first row in `[lo, hi)` at the least squared distance from `q`, or -1
-    * if the range is empty (or every distance overflows to +inf).
+    * if the range is empty (or every distance overflows to +inf). The last
+    * column's pass finishes each distance and keeps the minimum at once.
     */
   def nearest(q: Array[Double], lo: Int, hi: Int, acc: Array[Double]): Int = {
+    val c      = cols(d - 1)
+    val x      = q(d - 1)
     var best   = -1
     var bestD2 = Double.PositiveInfinity
     var a      = lo
     while (a < hi) {
       val len = math.min(hi - a, acc.length)
-      dist2(q, a, a + len, acc)
+      partial(q, a, a + len, acc)
       var j = 0
       while (j < len) {
-        if (acc(j) < bestD2) { bestD2 = acc(j); best = a + j }
+        val t  = c(a + j) - x
+        val d2 = if (d == 1) t * t else acc(j) + t * t
+        if (d2 < bestD2) { bestD2 = d2; best = a + j }
         j += 1
       }
       a += len

@@ -7,7 +7,10 @@ import repro.kdtree.{KdTree, MaxRhoKdTree}
   *
   * Densities: one range count per point on a static [[MaxRhoKdTree]] through
   * [[Density]], parallelized across Spark tasks with dynamic oversubscription
-  * (the paper's `omp parallel for schedule(dynamic)`).
+  * (the paper's `omp parallel for schedule(dynamic)`). The tree is the only
+  * broadcast: each task reads the queries' coordinates from its leaf-order
+  * copy, through an id-to-slot map of n ints that the task builds (not in
+  * `memBytes`).
   *
   * Dependent points: the kd-tree is destroyed and rebuilt *incrementally* in
   * descending density order — when point p is processed the tree holds exactly
@@ -21,21 +24,21 @@ object ExDPC extends DPCAlgorithm {
 
   override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
     val n    = pts.n
+    val d    = pts.d
     val dcut = params.dcut
 
     val t0     = System.nanoTime()
     val tree   = MaxRhoKdTree.build(pts, Array.range(0, n))
     val bcTree = spark.sparkContext.broadcast(tree)
-    val bcPts  = spark.sparkContext.broadcast(pts)
     val rho = try Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-      val t = bcTree.value
-      val p = bcPts.value
-      val q = new Array[Double](p.d)
+      val t    = bcTree.value
+      val slot = t.slots(n)
+      val q    = new Array[Double](d)
       i => {
-        System.arraycopy(p.data, i * p.d, q, 0, p.d)
+        t.coords(slot(i), q)
         t.rangeCount(q, dcut) - 1 // exclude the point itself
       }
-    } finally { bcTree.destroy(); bcPts.destroy() }
+    } finally bcTree.destroy()
     val t1 = System.nanoTime()
 
     // Sequential incremental phase (driver = the single thread of §3).

@@ -76,6 +76,19 @@ final class MaxRhoKdTree private (
     d2
   }
 
+  /** Leaf slot of every point id in `0 until n`, -1 for an id the tree does
+    * not index; `n` must exceed every indexed id. O(n).
+    */
+  def slots(n: Int): Array[Int] = {
+    val slot = Array.fill(n)(-1)
+    var s = 0
+    while (s < perm.length) { slot(perm(s)) = s; s += 1 }
+    slot
+  }
+
+  /** Copies the coordinates of the point in leaf slot `s` into `q`. */
+  def coords(s: Int, q: Array[Double]): Unit = System.arraycopy(xs, s * d, q, 0, d)
+
   /** Ids with dist(q, p) <= r. A node whose box lies inside the ball
     * contributes its whole leaf slice.
     */

@@ -3,7 +3,6 @@ package repro.lsh
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.grid.Grid
-import scala.collection.mutable
 
 /** LSH-DDP (Zhang et al., TKDE 2016) — the state-of-the-art approximation
   * baseline, adapted from MapReduce to a single multicore node as the paper
@@ -11,9 +10,16 @@ import scala.collection.mutable
   *
   * P is partitioned into buckets by M compound p-stable LSHes. A point's
   * density is approximated by counting dcut-neighbours among its bucket mates
-  * (union over tables); its dependent point is the nearest denser bucket mate.
-  * When no denser bucket mate exists the result "does not seem accurate" and a
-  * full scan of P computes the exact dependent point. Faithfully reproduced
+  * (union over tables); its dependent point is the nearest denser bucket mate,
+  * the smallest id among equally near ones. When no denser bucket mate exists
+  * the result "does not seem accurate" and a full scan of P computes the exact
+  * dependent point, the smallest id among the nearest denser points of P.
+  *
+  * Both kernels walk a point's M bucket slices of the tables' [[Grid]]s in
+  * place, in bucket order, and skip a mate already seen in an earlier table
+  * by a per-task stamp array of n ints (`seen(j) == i`), so no candidate list
+  * is built or sorted. That array, 4n bytes per task, is not in `memBytes`,
+  * as the scans' per-task `Columns` copies are not. Faithfully reproduced
   * quirks: densities are approximate (so dependent choices can be wrong w.r.t.
   * exact densities — the artifact visible in the paper's Fig. 6(c)), and work
   * is split into *static* contiguous ranges, one per core, with no load
@@ -37,67 +43,71 @@ object LSHDDP extends DPCAlgorithm {
     val bcGrids = sc.broadcast(grids)
     val groups  = Par.ranges(n, sc.defaultParallelism)
 
-    /** Distinct bucket mates of i across the M tables (excluding i). */
-    def candidates(grids: Array[Grid], i: Int): Array[Int] = {
-      val seen = new mutable.ArrayBuilder.ofInt
-      var t = 0
-      while (t < grids.length) {
-        val g = grids(t)
-        val c = g.cellOf(i)
-        var z = g.start(c)
-        while (z < g.start(c + 1)) { if (g.members(z) != i) seen += g.members(z); z += 1 }
-        t += 1
-      }
-      val all = seen.result()
-      java.util.Arrays.sort(all)
-      // dedupe in place
-      var w = 0
-      var r = 0
-      while (r < all.length) {
-        if (w == 0 || all(r) != all(w - 1)) { all(w) = all(r); w += 1 }
-        r += 1
-      }
-      java.util.Arrays.copyOf(all, w)
-    }
-
     try {
+      // seen(j) == i: j was visited for point i. A task sees each i once, so
+      // the stamps need no reset.
       val rho = Density.rho(spark, n, groups) { () =>
         val p     = bcPts.value
         val grids = bcGrids.value
+        val seen  = Array.fill(p.n)(-1)
         i => {
-          val cand = candidates(grids, i)
+          seen(i) = i
           var cnt = 0
-          var z = 0
-          while (z < cand.length) { if (p.dist2(i, cand(z)) < dcut2) cnt += 1; z += 1 }
+          var t = 0
+          while (t < grids.length) {
+            val g   = grids(t)
+            val c   = g.cellOf(i)
+            val end = g.start(c + 1)
+            var z   = g.start(c)
+            while (z < end) {
+              val j = g.members(z)
+              if (seen(j) != i) { seen(j) = i; if (p.dist2(i, j) < dcut2) cnt += 1 }
+              z += 1
+            }
+            t += 1
+          }
           cnt
         }
       }
       val t1 = System.nanoTime()
 
-      // Dependent: nearest denser bucket mate, else exact full scan.
+      // Dependent: nearest denser bucket mate, the smallest id among equally
+      // near ones, else exact full scan.
       val bcRho = sc.broadcast(rho)
       val (depId, delta) = try Dependents.search(spark, pts, Array.range(0, n), groups) { () =>
         val p     = bcPts.value
         val grids = bcGrids.value
         val rh    = bcRho.value
+        val seen  = Array.fill(p.n)(-1)
         i => {
-          val cand   = candidates(grids, i)
+          seen(i) = i
+          val ri     = rh(i)
           var bestId = -1
           var bestD2 = Double.PositiveInfinity
-          var z = 0
-          while (z < cand.length) {
-            val j = cand(z)
-            if (rh(j) > rh(i)) {
-              val d2 = p.dist2(i, j)
-              if (d2 < bestD2) { bestD2 = d2; bestId = j }
+          var t = 0
+          while (t < grids.length) {
+            val g   = grids(t)
+            val c   = g.cellOf(i)
+            val end = g.start(c + 1)
+            var z   = g.start(c)
+            while (z < end) {
+              val j = g.members(z)
+              if (seen(j) != i) {
+                seen(j) = i
+                if (rh(j) > ri) {
+                  val d2 = p.dist2(i, j)
+                  if (d2 < bestD2 || (d2 == bestD2 && j < bestId)) { bestD2 = d2; bestId = j }
+                }
+              }
+              z += 1
             }
-            z += 1
+            t += 1
           }
           if (bestId < 0) {
-            // fallback: exact scan of the whole P
+            // fallback: exact scan of the whole P, the first strict minimum
             var j = 0
             while (j < p.n) {
-              if (rh(j) > rh(i)) {
+              if (rh(j) > ri) {
                 val d2 = p.dist2(i, j)
                 if (d2 < bestD2) { bestD2 = d2; bestId = j }
               }

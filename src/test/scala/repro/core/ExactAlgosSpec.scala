@@ -79,8 +79,10 @@ class ExactAlgosSpec extends SparkSpec {
   // Besides one task binary per Spark stage, a Scan run broadcasts the points
   // and the dependent phase's density order; CFSFDP-A adds its three pivot
   // structures. R-tree + Scan ships the points inside its tree. LSH-DDP adds
-  // its M tables, as one array of grids, and its densities.
-  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 1), (RTreeScanDPC, 1), (CFSFDPA, 4), (LSHDDP, 2))) {
+  // its M tables, as one array of grids, and its densities. Ex-DPC ships the
+  // points inside its tree and nothing else: its dependent phase is on the
+  // driver.
+  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 1), (RTreeScanDPC, 1), (CFSFDPA, 4), (LSHDDP, 2), (ExDPC, 0))) {
     test(s"${algo.name} broadcasts the point set once per run") {
       val pts = TestUtil.clusteredPts(2000, 2, k = 3, sigma = 30.0, domain = 1000.0, seed = 512)
       var bcasts = 0L

@@ -15,24 +15,56 @@ class LSHDDPSpec extends SparkSpec {
     }
   }
 
+  /** Duplicate-heavy inputs with their `d_cut`, LSH-DDP's result, and which
+    * pairs share a bucket of LSH-DDP's hash family in some table. 797 is
+    * prime, so no core count above 1 divides it and the static ranges are
+    * uneven.
+    */
+  private lazy val quantized = Seq(
+    (TestUtil.quantizedPts(800, 2, k = 3, sigma = 30.0, domain = 1000.0, step = 5.0, seed = 806), 30.0),
+    (TestUtil.quantizedPts(800, 5, k = 3, sigma = 30.0, domain = 1000.0, step = 40.0, seed = 807), 60.0),
+    (TestUtil.quantizedPts(797, 3, k = 3, sigma = 30.0, domain = 1000.0, step = 10.0, seed = 808), 40.0)
+  ).map { case (pts, dcut) =>
+    assert(TestUtil.distinctPositions(pts) < pts.n)
+    val params = DPCParams(dcut = dcut)
+    val lsh    = new PStableLSH(pts.d, params.lshTables, params.lshLen, params.lshWidthFactor * dcut, seed = 7L)
+    val keys   = Array.tabulate(lsh.m, pts.n)((t, i) => lsh.key(t, pts.point(i)))
+    val mates  = (i: Int, j: Int) => j != i && (0 until lsh.m).exists(t => keys(t)(i) == keys(t)(j))
+    (pts, dcut, LSHDDP.run(spark, pts, params), mates)
+  }
+
   test("densities count, bit for bit, the distinct bucket mates within dcut") {
-    Seq(
-      (TestUtil.quantizedPts(800, 2, k = 3, sigma = 30.0, domain = 1000.0, step = 5.0, seed = 806), 30.0),
-      (TestUtil.quantizedPts(800, 5, k = 3, sigma = 30.0, domain = 1000.0, step = 40.0, seed = 807), 60.0)
-    ).foreach { case (pts, dcut) =>
-      assert(TestUtil.distinctPositions(pts) < pts.n)
-      val params = DPCParams(dcut = dcut)
-      // LSH-DDP's hash family.
-      val lsh  = new PStableLSH(pts.d, params.lshTables, params.lshLen, params.lshWidthFactor * dcut, seed = 7L)
-      val keys = Array.tabulate(lsh.m, pts.n)((t, i) => lsh.key(t, pts.point(i)))
-      val rho  = Array.tabulate(pts.n) { i =>
-        (0 until pts.n).count { j =>
-          j != i && pts.dist2(i, j) < dcut * dcut && (0 until lsh.m).exists(t => keys(t)(i) == keys(t)(j))
-        } + Jitter.frac(i)
+    quantized.foreach { case (pts, dcut, res, mates) =>
+      val rho = Array.tabulate(pts.n) { i =>
+        (0 until pts.n).count(j => pts.dist2(i, j) < dcut * dcut && mates(i, j)) + Jitter.frac(i)
       }
-      assert(LSHDDP.run(spark, pts, params).rho.toSeq === rho.toSeq, s"d = ${pts.d}")
+      assert(res.rho.toSeq === rho.toSeq, s"d = ${pts.d}")
       // Some neighbour shares no bucket, so a count of all neighbours differs.
       assert(rho.toSeq != TestUtil.bruteRho(pts, dcut).toSeq, s"d = ${pts.d}")
+    }
+  }
+
+  test("dependent points are, bit for bit, the smallest id among the nearest denser bucket mates, else the full scan's") {
+    quantized.foreach { case (pts, _, res, mates) =>
+      val rho = res.rho
+      var ties, fallbacks = 0
+      (0 until pts.n).foreach { i =>
+        val denser   = (0 until pts.n).filter(j => rho(j) > rho(i))
+        val inBucket = denser.filter(mates(i, _))
+        val among    = if (inBucket.nonEmpty) inBucket else denser
+        val best     = if (among.isEmpty) Double.PositiveInfinity else among.map(pts.dist2(i, _)).min
+        // In ascending id order, so the first is the smallest id.
+        val near     = among.filter(j => pts.dist2(i, j) == best)
+        val dep      = near.headOption.getOrElse(-1)
+        if (inBucket.nonEmpty && near.length > 1) ties += 1
+        if (inBucket.isEmpty && denser.nonEmpty) fallbacks += 1
+        assert(res.depId(i) === dep, s"d = ${pts.d}: depId($i)")
+        val delta = if (dep < 0) Double.PositiveInfinity else pts.dist(i, dep)
+        assert(java.lang.Double.compare(res.delta(i), delta) == 0, s"d = ${pts.d}: delta($i) ${res.delta(i)} != $delta")
+      }
+      // Both rules are exercised.
+      assert(ties > 0, s"d = ${pts.d}: no point has equidistant nearest denser bucket mates")
+      assert(fallbacks > 0, s"d = ${pts.d}: no point takes the full-scan fallback")
     }
   }
 
