@@ -25,45 +25,41 @@ import repro.kmeans.KMeans
 object CFSFDPA extends DPCAlgorithm {
   override val name = "CFSFDP-A"
 
-  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
+  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = Run(spark) { run =>
     val n     = pts.n
     val dcut  = params.dcut
     val dcut2 = dcut * dcut
     val k     = math.min(n, math.max(2, math.ceil(math.sqrt(n.toDouble)).toInt))
 
-    val t0 = System.nanoTime()
-    val km = KMeans.fit(pts, k, iters = 5)
+    val bcPts = run.rho(run.share(pts))
+    val rho = run.rho {
+      val km = KMeans.fit(pts, k, iters = 5)
 
-    // n x k pivot-distance matrix (flat) + per-pivot sorted member lists.
-    val pivDist = new Array[Double](n * k)
-    var i = 0
-    while (i < n) {
+      // n x k pivot-distance matrix (flat) + per-pivot sorted member lists.
+      val pivDist = new Array[Double](n * k)
+      var i = 0
+      while (i < n) {
+        var m = 0
+        while (m < k) { pivDist(i * k + m) = math.sqrt(pts.dist2To(i, km.centroids(m))); m += 1 }
+        i += 1
+      }
+      val groups = Array.fill(k)(new scala.collection.mutable.ArrayBuilder.ofInt)
+      i = 0
+      while (i < n) { groups(km.assign(i)) += i; i += 1 }
+      val sortedMembers = new Array[Array[Int]](k)   // member ids, ascending pivot distance
+      val sortedDists   = new Array[Array[Double]](k)
       var m = 0
-      while (m < k) { pivDist(i * k + m) = math.sqrt(pts.dist2To(i, km.centroids(m))); m += 1 }
-      i += 1
-    }
-    val groups = Array.fill(k)(new scala.collection.mutable.ArrayBuilder.ofInt)
-    i = 0
-    while (i < n) { groups(km.assign(i)) += i; i += 1 }
-    val sortedMembers = new Array[Array[Int]](k)   // member ids, ascending pivot distance
-    val sortedDists   = new Array[Array[Double]](k)
-    var m = 0
-    while (m < k) {
-      val g = groups(m).result()
-      val byDist = g.sortBy(j => pivDist(j * k + m))
-      sortedMembers(m) = byDist
-      sortedDists(m) = byDist.map(j => pivDist(j * k + m))
-      m += 1
-    }
-
-    val sc    = spark.sparkContext
-    val bcPts = sc.broadcast(pts)
-    val bcPD  = sc.broadcast(pivDist)
-    val bcSM  = sc.broadcast(sortedMembers)
-    val bcSD  = sc.broadcast(sortedDists)
-
-    try {
-      val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+      while (m < k) {
+        val g = groups(m).result()
+        val byDist = g.sortBy(j => pivDist(j * k + m))
+        sortedMembers(m) = byDist
+        sortedDists(m) = byDist.map(j => pivDist(j * k + m))
+        m += 1
+      }
+      val bcPD = run.share(pivDist)
+      val bcSM = run.share(sortedMembers)
+      val bcSD = run.share(sortedDists)
+      Density.rho(spark, n, Par.indexed(spark, n)) { () =>
         val p  = bcPts.value
         val pd = bcPD.value
         val sm = bcSM.value
@@ -89,15 +85,12 @@ object CFSFDPA extends DPCAlgorithm {
           cnt
         }
       }
-      val t1 = System.nanoTime()
+    }
 
-      val (depId, delta) = ScanDependents.compute(spark, () => bcPts.value, rho)
-      val t2 = System.nanoTime()
-
-      val mem = 8L * n * k +                       // pivot-distance matrix
-        (8L + 4L) * n +                            // sorted lists (dist + id per point)
-        8L * k * pts.d                             // centroids
-      new DPCResult(rho, depId, delta, PhaseTimes.between(t0, t1, t2), mem)
-    } finally { bcPts.destroy(); bcPD.destroy(); bcSM.destroy(); bcSD.destroy() }
+    val (depId, delta) = run.delta(ScanDependents.compute(run, () => bcPts.value, rho))
+    val mem = 8L * n * k +                       // pivot-distance matrix
+      (8L + 4L) * n +                            // sorted lists (dist + id per point)
+      8L * k * pts.d                             // centroids
+    new DPCResult(rho, depId, delta, run.times, mem)
   }
 }

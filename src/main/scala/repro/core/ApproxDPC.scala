@@ -10,25 +10,17 @@ import org.apache.spark.sql.SparkSession
   * member depends on its cell's `p*` at distance `dcut`; a `p*` depends on
   * `p*(c')` of a neighbour cell whose minimum density exceeds its own, also
   * at `dcut`. Undecided points (the "stem" of the cluster trees) get their
-  * *exact* dependent point via [[ExactDependents]] on the pass's broadcast
-  * tree — which is what makes Theorem 4 (identical cluster centers to Ex-DPC)
-  * hold.
+  * *exact* dependent point via [[ExactDependents]] on the pass's tree, in the
+  * pass's [[Run]] — which is what makes Theorem 4 (identical cluster centers
+  * to Ex-DPC) hold.
   */
 object ApproxDPC extends DPCAlgorithm {
   override val name = "Approx-DPC"
 
-  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
-    val n    = pts.n
+  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = Run(spark) { run =>
     val dcut = params.dcut
-    val t0   = System.nanoTime()
-    CellPass.run(spark, pts, dcut / math.sqrt(pts.d.toDouble), dcut, firstOnly = false, dcut, dcut) { pass =>
-      val pPrime = pass.undecided
-      val (exDep, exDelta) = ExactDependents.compute(spark, pass.tree, pts, pass.rho, Array.range(0, n), pPrime)
-      var k = 0
-      while (k < pPrime.length) { pass.depId(pPrime(k)) = exDep(k); pass.delta(pPrime(k)) = exDelta(k); k += 1 }
-      val t2 = System.nanoTime()
-      new DPCResult(pass.rho, pass.depId, pass.delta,
-        PhaseTimes.between(t0, pass.t1, t2), pass.memBytes)
-    }
+    val pass = CellPass.run(run, pts, dcut / math.sqrt(pts.d.toDouble), dcut, firstOnly = false, dcut, dcut)
+    run.delta(pass.settle(ExactDependents.search(run, pass.tree, pts, pass.rho, Array.range(0, pts.n), pass.undecided)))
+    new DPCResult(pass.rho, pass.depId, pass.delta, run.times, pass.memBytes)
   }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.SparkSession
 import repro.grid.Grid
 import repro.kdtree.MaxRhoKdTree
 import scala.collection.mutable
@@ -47,46 +45,52 @@ object CellPass {
 
   /** What the pass leaves its caller.
     *
-    * @param tree      the broadcast static tree over all points, alive until
-    *                  the caller's continuation returns
+    * @param tree      the static tree over all points, which the pass shared
+    *                  in the caller's run
     * @param rho       per point its exact density, or NaN if it got none
     * @param pstar     per cell, `p*(c)`
     * @param depId     approximate dependents; -1 for the undecided
     * @param delta     their distances; 0 for the undecided
     * @param undecided the representatives with no denser neighbour cell, in
     *                  cell order
-    * @param t1        `System.nanoTime()` at the end of the density phase
     * @param memBytes  modelled footprint of the tree, the grid and `N(c)`
     */
   final class Result(
-      val tree: Broadcast[MaxRhoKdTree],
+      val tree: MaxRhoKdTree,
       val rho: Array[Double],
       val pstar: Array[Int],
       val depId: Array[Int],
       val delta: Array[Double],
       val undecided: Array[Int],
-      val t1: Long,
       val memBytes: Long
-  )
+  ) {
+    /** Sets the dependents of the undecided points to `exact`, their
+      * `(depId, delta)` in the order of [[undecided]].
+      */
+    def settle(exact: (Array[Int], Array[Double])): Unit = {
+      var k = 0
+      while (k < undecided.length) { depId(undecided(k)) = exact._1(k); delta(undecided(k)) = exact._2(k); k += 1 }
+    }
+  }
 
-  /** Runs the pass over `pts` on the grid of side `side` and hands its
-    * [[Result]] to `rest`. With `firstOnly`, only the first member of each
-    * cell gets a density; otherwise all of them do. The points, the tree and
-    * the grid are broadcast once each and destroyed when `rest` returns.
+  /** Runs the pass over `pts` on the grid of side `side` in `run`: the tree,
+    * the grid and the density job are timed as `run`'s rho phase, the
+    * approximate dependents as its delta phase. With `firstOnly`, only the
+    * first member of each cell gets a density; otherwise all of them do. The
+    * points, the tree and the grid are shared in `run`.
     */
-  def run[T](
-      spark: SparkSession, pts: Pts, side: Double, dcut: Double, firstOnly: Boolean,
+  def run(
+      run: Run, pts: Pts, side: Double, dcut: Double, firstOnly: Boolean,
       memberDelta: Double, starDelta: Double
-  )(rest: Result => T): T = {
-    val tree   = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
-    val grid   = new Grid(pts, side)
-    val sc     = spark.sparkContext
-    val bcPts  = sc.broadcast(pts)
-    val bcTree = sc.broadcast(tree)
-    val bcGrid = sc.broadcast(grid)
-    try {
-      val groups = Par.lpt(Array.tabulate(grid.nCells)(grid.size(_).toDouble), sc.defaultParallelism)
-      val blocks = Par.mapGroups(spark, groups)(densities(bcPts.value, bcTree.value, bcGrid.value, dcut, firstOnly, _))
+  ): Result = {
+    val (tree, grid, rho, pstar, minRho, nbrOff, nbrs) = run.rho {
+      val tree   = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
+      val grid   = new Grid(pts, side)
+      val bcPts  = run.share(pts)
+      val bcTree = run.share(tree)
+      val bcGrid = run.share(grid)
+      val groups = Par.lpt(Array.tabulate(grid.nCells)(grid.size(_).toDouble), run.spark.sparkContext.defaultParallelism)
+      val blocks = Par.mapGroups(run.spark, groups)(densities(bcPts.value, bcTree.value, bcGrid.value, dcut, firstOnly, _))
 
       val rho    = Array.fill(pts.n)(Double.NaN)
       val pstar  = new Array[Int](grid.nCells)
@@ -122,14 +126,12 @@ object CellPass {
         }
         g += 1
       }
-      val t1 = System.nanoTime()
-
-      val (depId, delta, undecided) = dependents(grid, rho, pstar, minRho, nbrOff, nbrs, memberDelta, starDelta)
-      val mem = MaxRhoKdTree.memBytes(pts.n, pts.d) + grid.memBytes + 4L * (nbrOff.length + nbrs.length)
-      rest(new Result(bcTree, rho, pstar, depId, delta, undecided, t1, mem))
-    } finally {
-      bcPts.destroy(); bcTree.destroy(); bcGrid.destroy()
+      (tree, grid, rho, pstar, minRho, nbrOff, nbrs)
     }
+
+    val (depId, delta, undecided) = run.delta(dependents(grid, rho, pstar, minRho, nbrOff, nbrs, memberDelta, starDelta))
+    val mem = MaxRhoKdTree.memBytes(pts.n, pts.d) + grid.memBytes + 4L * (nbrOff.length + nbrs.length)
+    new Result(tree, rho, pstar, depId, delta, undecided, mem)
   }
 
   /** Number of members of cell `c` that get a density. */

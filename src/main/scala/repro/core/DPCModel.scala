@@ -43,7 +43,11 @@ final case class DPCParams(
   require(dcut > 0, "dcut must be positive")
   // Every density kernel compares squared distances with dcut^2.
   require(dcut * dcut > 0, s"dcut ($dcut) is so small that its square underflows to 0")
-  require(epsilon > 0, "epsilon must be positive")
+  require(!rhoMin.isNaN, "rhoMin (NaN) must be a number: no density is below NaN")
+  // S-Approx-DPC's cells have side epsilon * dcut / sqrt(d): an infinite one
+  // holds every point and gives every non-picked point delta = +inf.
+  require(epsilon > 0 && !(epsilon * dcut).isInfinite,
+    s"epsilon ($epsilon) must be positive, with epsilon * dcut ($dcut) finite")
   require(deltaMin > dcut, s"deltaMin ($deltaMin) must exceed dcut ($dcut) (Definition 5)")
   require(lshTables >= 1, s"lshTables ($lshTables) must be at least 1")
   require(lshLen >= 1, s"lshLen ($lshLen) must be at least 1")
@@ -51,16 +55,11 @@ final case class DPCParams(
     s"lshWidthFactor ($lshWidthFactor) must be finite and positive")
 }
 
-/** Wall-clock decomposition mirroring Table 6: rho phase vs delta phase. */
+/** Wall-clock decomposition mirroring Table 6: rho phase vs delta phase, as
+  * [[Run]] times them.
+  */
 final case class PhaseTimes(densityMs: Long, dependentMs: Long) {
   def totalMs: Long = densityMs + dependentMs
-}
-
-object PhaseTimes {
-  /** The phases between three `System.nanoTime()` stamps: density from `t0`
-    * to `t1`, dependent from `t1` to `t2`, each truncated to whole ms.
-    */
-  def between(t0: Long, t1: Long, t2: Long): PhaseTimes = PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L)
 }
 
 /** Output of one DPC algorithm, before center selection / label propagation.

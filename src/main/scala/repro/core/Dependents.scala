@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.kdtree.MaxRhoKdTree
 
@@ -18,7 +17,7 @@ object Dependents {
   /** Returns `(depId, delta)` of each query, in the order of `queries`:
     * `delta(k)` is `pts.dist(queries(k), depId(k))`, or +inf where `depId(k)`
     * is -1. `pts` is read only after the kernel has run, so that a caller may
-    * pass a broadcast's value, which the driver then reads only if the tasks
+    * pass a share's value, which the driver then reads only if the tasks
     * succeeded.
     */
   def search(spark: SparkSession, pts: => Pts, queries: Array[Int], groups: Array[Array[Int]])(
@@ -47,37 +46,36 @@ object Dependents {
 object ScanDependents {
 
   /** Returns `(depId, delta)`; the top-density point gets `(-1, +inf)`. */
-  def compute(spark: SparkSession, pts: Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
-    val bcPts = spark.sparkContext.broadcast(pts)
-    try compute(spark, () => bcPts.value, rho) finally bcPts.destroy()
-  }
+  def compute(spark: SparkSession, pts: Pts, rho: Array[Double]): (Array[Int], Array[Double]) =
+    Run(spark) { run =>
+      val bcPts = run.share(pts)
+      compute(run, () => bcPts.value, rho)
+    }
 
-  /** [[compute]] over the points each task gets from `points`, a factory that
-    * reads a broadcast the caller has already made, such as the one its
-    * density phase read, so the points are shipped once per run.
+  /** [[compute]] in `run`, over the points each task gets from `points`, a
+    * factory that reads a share the caller has already made, such as the one
+    * its density phase read, so the points are shipped once per run. The
+    * density order is shared in `run`.
     */
-  def compute(spark: SparkSession, points: () => Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
+  def compute(run: Run, points: () => Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
     val n       = rho.length
     val order   = Order.descending(rho)
-    val sc      = spark.sparkContext
-    val bcOrder = sc.broadcast(order)
-    try {
-      // The query at position r scans the r points before it: LPT-balance by r.
-      val groups = Par.lpt(Array.tabulate(n)(r => math.max(1.0, r.toDouble)), sc.defaultParallelism)
-      val (dep, delta) = Dependents.search(spark, points(), order, groups) { () =>
-        val od  = bcOrder.value
-        val c   = new Columns(points(), od)
-        val q   = new Array[Double](c.d)
-        val acc = new Array[Double](Columns.Chunk)
-        r => {
-          c.row(r, q)
-          val s = c.nearest(q, 0, r, acc)
-          if (s < 0) -1 else od(s)
-        }
+    val bcOrder = run.share(order)
+    // The query at position r scans the r points before it: LPT-balance by r.
+    val groups = Par.lpt(Array.tabulate(n)(r => math.max(1.0, r.toDouble)), run.spark.sparkContext.defaultParallelism)
+    val (dep, delta) = Dependents.search(run.spark, points(), order, groups) { () =>
+      val od  = bcOrder.value
+      val c   = new Columns(points(), od)
+      val q   = new Array[Double](c.d)
+      val acc = new Array[Double](Columns.Chunk)
+      r => {
+        c.row(r, q)
+        val s = c.nearest(q, 0, r, acc)
+        if (s < 0) -1 else od(s)
       }
-      // From descending-density positions back to point ids.
-      (Par.scatter(n, Array(order), Array(dep)), Par.scatter(n, Array(order), Array(delta)))
-    } finally bcOrder.destroy()
+    }
+    // From descending-density positions back to point ids.
+    (Par.scatter(n, Array(order), Array(dep)), Par.scatter(n, Array(order), Array(delta)))
   }
 }
 
@@ -90,7 +88,7 @@ object ScanDependents {
   * model. This replaces the paper's `s` density-sorted subset trees of
   * Equation (2) and their `cost_dep` balancing; see DESIGN.md §3. The queries
   * are sized by [[Par.sized]] from [[queryWork]]: a small query set runs on
-  * the driver with nothing broadcast, a large one fans out over one group per
+  * the driver with nothing shared, a large one fans out over one group per
   * core.
   */
 object ExactDependents {
@@ -117,8 +115,9 @@ object ExactDependents {
     * strictly higher density. Returns `(query, depId, delta)` triples; queries
     * with no higher-density universe point get `(-1, +inf)`. `delta` is
     * bit-identical to `pts.dist(query, depId)`; among equidistant candidates
-    * the smallest id is chosen. The tree over the universe is broadcast only
-    * when the queries fan out.
+    * the smallest id is chosen. Builds a tree over the universe and runs
+    * [[search]] in a run of its own, so the tree is shared only when the
+    * queries fan out.
     */
   def compute(
       spark: SparkSession,
@@ -129,32 +128,19 @@ object ExactDependents {
   ): Array[(Int, Int, Double)] = {
     if (universe.isEmpty || queries.isEmpty)
       return queries.map(q => (q, -1, Double.PositiveInfinity))
-    val (dep, delta) = search(spark, MaxRhoKdTree.build(pts, universe), None, pts, rho, universe, queries)
+    val (dep, delta) = Run(spark)(search(_, MaxRhoKdTree.build(pts, universe), pts, rho, universe, queries))
     Array.tabulate(queries.length)(k => (queries(k), dep(k), delta(k)))
   }
 
-  /** [[compute]] over an already broadcast tree that indexes at least the
-    * universe, such as the one a density phase searched: only the densities
-    * and the queries are broadcast, and only when the queries fan out.
-    * Returns `(depId, delta)` of each query, in the order of `queries`.
+  /** [[compute]] in `run` over `tree`, which indexes at least the universe,
+    * such as the one a density phase searched. Returns `(depId, delta)` of
+    * each query, in the order of `queries`. On the driver nothing is shared;
+    * when the queries fan out, the tree, its densities and the queries are
+    * shared in `run`, and a tree the run already shared is not shipped again.
     */
-  def compute(
-      spark: SparkSession,
-      tree: Broadcast[MaxRhoKdTree],
-      pts: Pts,
-      rho: Array[Double],
-      universe: Array[Int],
-      queries: Array[Int]
-  ): (Array[Int], Array[Double]) =
-    search(spark, tree.value, Some(tree), pts, rho, universe, queries)
-
-  /** Both overloads: `tree` indexes at least the universe, and `shipped` is
-    * its broadcast if the caller made one.
-    */
-  private def search(
-      spark: SparkSession,
+  def search(
+      run: Run,
       tree: MaxRhoKdTree,
-      shipped: Option[Broadcast[MaxRhoKdTree]],
       pts: Pts,
       rho: Array[Double],
       universe: Array[Int],
@@ -170,19 +156,15 @@ object ExactDependents {
     while (k < m) { System.arraycopy(pts.data, queries(k) * d, qx, k * d, d); k += 1 }
     val qRho = queries.map(rho)
 
-    val groups = Par.sized(spark, m, m * queryWork(universe.length, d))
-    if (Par.onDriver(groups)) Dependents.search(spark, pts, queries, groups)(() => kernel(tree, dens, qx, qRho, d))
+    val groups = Par.sized(run.spark, m, m * queryWork(universe.length, d))
+    if (Par.onDriver(groups)) Dependents.search(run.spark, pts, queries, groups)(() => kernel(tree, dens, qx, qRho, d))
     else {
-      val sc     = spark.sparkContext
-      val bcTree = shipped.getOrElse(sc.broadcast(tree))
-      val bcDens = sc.broadcast(dens)
-      val bcQ    = sc.broadcast((qx, qRho))
-      try Dependents.search(spark, pts, queries, groups) { () =>
+      val bcTree = run.share(tree)
+      val bcDens = run.share(dens)
+      val bcQ    = run.share((qx, qRho))
+      Dependents.search(run.spark, pts, queries, groups) { () =>
         val (xs, rq) = bcQ.value
         kernel(bcTree.value, bcDens.value, xs, rq, d)
-      } finally {
-        bcDens.destroy(); bcQ.destroy()
-        if (shipped.isEmpty) bcTree.destroy()
       }
     }
   }

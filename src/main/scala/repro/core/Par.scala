@@ -91,7 +91,7 @@ object Par {
   }
 
   /** Whether [[mapGroups]] runs `groups` on the driver: then a caller has
-    * nothing to broadcast for it.
+    * nothing to share for it in its [[Run]].
     */
   def onDriver(groups: Array[Array[Int]]): Boolean = groups.length == 1
 
@@ -115,7 +115,7 @@ object Par {
   /** `kernel`'s result for every item of `groups` (which together hold
     * `0 until n` once), placed by item index: each group runs in its own task,
     * as [[mapGroups]] does, where `kernel()` makes the per-item function once.
-    * The factory should read only broadcasts, so that the task stays small.
+    * The factory should read only [[Run]] shares, so that the task stays small.
     * Specialized, so `Int` and `Double` results are not boxed.
     */
   def mapItems[@specialized(Int, Double) T: ClassTag](spark: SparkSession, n: Int, groups: Array[Array[Int]])(

@@ -10,25 +10,21 @@ import repro.rtree.RTree
 object RTreeScanDPC extends DPCAlgorithm {
   override val name = "R-tree + Scan"
 
-  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
+  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = Run(spark) { run =>
     val n    = pts.n
     val dcut = params.dcut
 
-    val t0   = System.nanoTime()
-    val tree = new RTree(pts).buildAll()
     // The tree holds the points, so they are shipped once, inside it, for
     // both phases.
-    val bcTree = spark.sparkContext.broadcast(tree)
-    try {
-      val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-        val t = bcTree.value
-        // rangeCount includes the query point itself (distance 0): subtract it.
-        i => t.rangeCount(t.pts.point(i), dcut) - 1
-      }
-      val t1 = System.nanoTime()
+    val tree   = run.rho(new RTree(pts).buildAll())
+    val bcTree = run.rho(run.share(tree))
+    val rho = run.rho(Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+      val t = bcTree.value
+      // rangeCount includes the query point itself (distance 0): subtract it.
+      i => t.rangeCount(t.pts.point(i), dcut) - 1
+    })
 
-      val (depId, delta) = ScanDependents.compute(spark, () => bcTree.value.pts, rho)
-      new DPCResult(rho, depId, delta, PhaseTimes.between(t0, t1, System.nanoTime()), tree.memBytes)
-    } finally bcTree.destroy()
+    val (depId, delta) = run.delta(ScanDependents.compute(run, () => bcTree.value.pts, rho))
+    new DPCResult(rho, depId, delta, run.times, tree.memBytes)
   }
 }

@@ -17,30 +17,27 @@ import scala.collection.mutable
   * *temporal clusters* whose radii prune candidates via the triangle
   * inequality in phase 2. If `|P'_pick|^2` exceeds O(n), the paper's fallback
   * — Approx-DPC's exact dependent search over the picked set — kicks in. It
-  * reuses the pass's broadcast [[repro.kdtree.MaxRhoKdTree]], with densities
-  * attached for the picked points only.
+  * searches the pass's [[repro.kdtree.MaxRhoKdTree]], with densities attached
+  * for the picked points only, and ships it again to no task: a fan-out reuses
+  * the pass's share in the same [[Run]].
   */
 object SApproxDPC extends DPCAlgorithm {
   override val name = "S-Approx-DPC"
 
-  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
+  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = Run(spark) { run =>
     val dcut = params.dcut
     val eps  = params.epsilon
-    val t0   = System.nanoTime()
-    CellPass.run(spark, pts, eps * dcut / math.sqrt(pts.d.toDouble), dcut, firstOnly = true,
-        eps * dcut, (1 + eps) * dcut) { pass =>
-      val picked = pass.pstar
-      val pPrime = pass.undecided
-      if (pPrime.length.toLong * pPrime.length > 4L * pts.n) {
+    val pass = CellPass.run(run, pts, eps * dcut / math.sqrt(pts.d.toDouble), dcut, firstOnly = true,
+      eps * dcut, (1 + eps) * dcut)
+    val picked = pass.pstar
+    val pPrime = pass.undecided
+    run.delta {
+      if (pPrime.length.toLong * pPrime.length > 4L * pts.n)
         // Fallback of §5: Approx-DPC's exact dependent search over the picked set.
-        val (exDep, exDelta) = ExactDependents.compute(spark, pass.tree, pts, pass.rho, picked, pPrime)
-        var k = 0
-        while (k < pPrime.length) { pass.depId(pPrime(k)) = exDep(k); pass.delta(pPrime(k)) = exDelta(k); k += 1 }
-      } else if (pPrime.nonEmpty) temporalClusters(pts, pass.rho, picked, pPrime, pass.depId, pass.delta)
-      val t2 = System.nanoTime()
-      new DPCResult(pass.rho, pass.depId, pass.delta,
-        PhaseTimes.between(t0, pass.t1, t2), pass.memBytes + 8L * picked.length)
+        pass.settle(ExactDependents.search(run, pass.tree, pts, pass.rho, picked, pPrime))
+      else if (pPrime.nonEmpty) temporalClusters(pts, pass.rho, picked, pPrime, pass.depId, pass.delta)
     }
+    new DPCResult(pass.rho, pass.depId, pass.delta, run.times, pass.memBytes + 8L * picked.length)
   }
 
   /** Phase 2: sets `depId`/`delta` of the roots `pPrime` from temporal

@@ -10,27 +10,23 @@ import org.apache.spark.sql.SparkSession
 object ScanDPC extends DPCAlgorithm {
   override val name = "Scan"
 
-  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
+  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = Run(spark) { run =>
     val n     = pts.n
     val dcut2 = params.dcut * params.dcut
 
-    val t0    = System.nanoTime()
-    val bcPts = spark.sparkContext.broadcast(pts)
-    try {
-      val rho = Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-        // Rows in id order; point i is left out by its row.
-        val c   = new Columns(bcPts.value, Array.range(0, n))
-        val q   = new Array[Double](c.d)
-        val acc = new Array[Double](Columns.Chunk)
-        i => {
-          c.row(i, q)
-          c.count(q, 0, i, dcut2, acc) + c.count(q, i + 1, n, dcut2, acc)
-        }
+    val bcPts = run.rho(run.share(pts))
+    val rho = run.rho(Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+      // Rows in id order; point i is left out by its row.
+      val c   = new Columns(bcPts.value, Array.range(0, n))
+      val q   = new Array[Double](c.d)
+      val acc = new Array[Double](Columns.Chunk)
+      i => {
+        c.row(i, q)
+        c.count(q, 0, i, dcut2, acc) + c.count(q, i + 1, n, dcut2, acc)
       }
-      val t1 = System.nanoTime()
+    })
 
-      val (depId, delta) = ScanDependents.compute(spark, () => bcPts.value, rho)
-      new DPCResult(rho, depId, delta, PhaseTimes.between(t0, t1, System.nanoTime()), memBytes = 0L)
-    } finally bcPts.destroy()
+    val (depId, delta) = run.delta(ScanDependents.compute(run, () => bcPts.value, rho))
+    new DPCResult(rho, depId, delta, run.times, memBytes = 0L)
   }
 }

@@ -28,53 +28,49 @@ import repro.grid.Grid
 object LSHDDP extends DPCAlgorithm {
   override val name = "LSH-DDP"
 
-  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
+  override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = Run(spark) { run =>
     val n     = pts.n
     val dcut2 = params.dcut * params.dcut
     val m     = params.lshTables
     val lsh   = new PStableLSH(pts.d, m, params.lshLen, params.lshWidthFactor * params.dcut, seed = 7L)
 
-    val t0 = System.nanoTime()
     // Table t's buckets are the cells of side w of P's projection.
-    val grids = Array.tabulate(m)(t => new Grid(lsh.project(t, pts), lsh.w))
+    val grids   = run.rho(Array.tabulate(m)(t => new Grid(lsh.project(t, pts), lsh.w)))
+    val bcPts   = run.rho(run.share(pts))
+    val bcGrids = run.rho(run.share(grids))
+    val groups  = Par.ranges(n, spark.sparkContext.defaultParallelism)
 
-    val sc      = spark.sparkContext
-    val bcPts   = sc.broadcast(pts)
-    val bcGrids = sc.broadcast(grids)
-    val groups  = Par.ranges(n, sc.defaultParallelism)
-
-    try {
-      // seen(j) == i: j was visited for point i. A task sees each i once, so
-      // the stamps need no reset.
-      val rho = Density.rho(spark, n, groups) { () =>
-        val p     = bcPts.value
-        val grids = bcGrids.value
-        val seen  = Array.fill(p.n)(-1)
-        i => {
-          seen(i) = i
-          var cnt = 0
-          var t = 0
-          while (t < grids.length) {
-            val g   = grids(t)
-            val c   = g.cellOf(i)
-            val end = g.start(c + 1)
-            var z   = g.start(c)
-            while (z < end) {
-              val j = g.members(z)
-              if (seen(j) != i) { seen(j) = i; if (p.dist2(i, j) < dcut2) cnt += 1 }
-              z += 1
-            }
-            t += 1
+    // seen(j) == i: j was visited for point i. A task sees each i once, so
+    // the stamps need no reset.
+    val rho = run.rho(Density.rho(spark, n, groups) { () =>
+      val p     = bcPts.value
+      val grids = bcGrids.value
+      val seen  = Array.fill(p.n)(-1)
+      i => {
+        seen(i) = i
+        var cnt = 0
+        var t = 0
+        while (t < grids.length) {
+          val g   = grids(t)
+          val c   = g.cellOf(i)
+          val end = g.start(c + 1)
+          var z   = g.start(c)
+          while (z < end) {
+            val j = g.members(z)
+            if (seen(j) != i) { seen(j) = i; if (p.dist2(i, j) < dcut2) cnt += 1 }
+            z += 1
           }
-          cnt
+          t += 1
         }
+        cnt
       }
-      val t1 = System.nanoTime()
+    })
 
-      // Dependent: nearest denser bucket mate, the smallest id among equally
-      // near ones, else exact full scan.
-      val bcRho = sc.broadcast(rho)
-      val (depId, delta) = try Dependents.search(spark, pts, Array.range(0, n), groups) { () =>
+    // Dependent: nearest denser bucket mate, the smallest id among equally
+    // near ones, else exact full scan.
+    val (depId, delta) = run.delta {
+      val bcRho = run.share(rho)
+      Dependents.search(spark, pts, Array.range(0, n), groups) { () =>
         val p     = bcPts.value
         val grids = bcGrids.value
         val rh    = bcRho.value
@@ -116,14 +112,11 @@ object LSHDDP extends DPCAlgorithm {
           }
           bestId
         }
-      } finally bcRho.destroy()
-      val t2 = System.nanoTime()
-
-      // Per table: bucket ids, and a member array (16-byte header) per bucket.
-      val mem = lsh.paramBytes + 8L * m * n + grids.iterator.map(g => 16L * g.nCells + 4L * n).sum
-      new DPCResult(rho, depId, delta, PhaseTimes.between(t0, t1, t2), mem)
-    } finally {
-      bcPts.destroy(); bcGrids.destroy()
+      }
     }
+
+    // Per table: bucket ids, and a member array (16-byte header) per bucket.
+    val mem = lsh.paramBytes + 8L * m * n + grids.iterator.map(g => 16L * g.nCells + 4L * n).sum
+    new DPCResult(rho, depId, delta, run.times, mem)
   }
 }

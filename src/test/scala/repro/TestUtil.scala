@@ -2,6 +2,8 @@ package repro
 
 import org.apache.spark.scheduler._
 import org.apache.spark.sql.SparkSession
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 import repro.core.{Jitter, Pts}
 import scala.collection.mutable
 import scala.util.Random
@@ -141,6 +143,26 @@ object TestUtil {
     */
   def liveBroadcasts(spark: SparkSession): Set[Long] =
     org.apache.spark.BlockManagerAccess.broadcastIds(spark.sparkContext).toSet
+
+  /** Runs `body` and checks that no broadcast it made is still alive
+    * afterwards besides the task binaries, one per Spark stage, waiting up to
+    * 10 s since a destroyed broadcast's blocks are removed asynchronously.
+    * Returns the number of stages `body` ran.
+    */
+  def assertReleases(spark: SparkSession)(body: => Unit): Int = {
+    val before = liveBroadcasts(spark)
+    var end    = 0L // the first broadcast id after the call
+    val (_, stages, _) = sparkWork(spark) {
+      body
+      val mark = spark.sparkContext.broadcast(0)
+      end = mark.id
+      mark.destroy()
+    }
+    eventually(timeout(Span(10, Seconds))) {
+      assert((liveBroadcasts(spark) -- before).count(_ < end) <= stages)
+    }
+    stages
+  }
 
   /** Runs `body` under its own job group and returns the number of jobs and
     * completed stages it ran and the shuffle bytes its tasks wrote.

@@ -82,16 +82,15 @@ class CellPassSpec extends SparkSpec {
       val firsts = grid.cells.map(_.head)
       val rhoB   = TestUtil.bruteRho(pts, dcut)
       assert(firsts.length < pts.n / 2)
-      CellPass.run(spark, pts, side, dcut, firstOnly, memberDelta = 0.25, starDelta = 1.75) { pass =>
-        (0 until pts.n).foreach { i =>
-          if (firstOnly && !firsts.contains(i)) assert(pass.rho(i).isNaN, s"point $i")
-          else assert(pass.rho(i) === rhoB(i), s"point $i")
-        }
-        if (firstOnly) assert(pass.pstar.toSeq === firsts.toSeq)
-        (0 until pts.n).foreach { i =>
-          val star = pass.pstar(grid.cellOf(i))
-          if (i != star) assert(pass.depId(i) === star && pass.delta(i) === 0.25, s"point $i")
-        }
+      val pass = Run(spark)(CellPass.run(_, pts, side, dcut, firstOnly, memberDelta = 0.25, starDelta = 1.75))
+      (0 until pts.n).foreach { i =>
+        if (firstOnly && !firsts.contains(i)) assert(pass.rho(i).isNaN, s"point $i")
+        else assert(pass.rho(i) === rhoB(i), s"point $i")
+      }
+      if (firstOnly) assert(pass.pstar.toSeq === firsts.toSeq)
+      (0 until pts.n).foreach { i =>
+        val star = pass.pstar(grid.cellOf(i))
+        if (i != star) assert(pass.depId(i) === star && pass.delta(i) === 0.25, s"point $i")
       }
     }
 }

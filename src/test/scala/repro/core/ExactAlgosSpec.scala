@@ -1,8 +1,6 @@
 package repro.core
 
 import org.apache.spark.SparkException
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.{Seconds, Span}
 import repro.{SparkSpec, TestUtil}
 import repro.cfsfdp.CFSFDPA
 import repro.lsh.LSHDDP
@@ -96,21 +94,11 @@ class ExactAlgosSpec extends SparkSpec {
   }
 
   test("ScanDependents releases its broadcasts when a task fails") {
-    val rho    = Array.tabulate(1000)(i => (i % 13) + Jitter.frac(i))
-    val before = TestUtil.liveBroadcasts(spark)
-    var end    = 0L // the first broadcast id after the call
-    val (_, stages, _) = TestUtil.sparkWork(spark) {
-      intercept[SparkException](ScanDependents.compute(spark, () => throw new IllegalStateException("no points"), rho))
-      val mark = spark.sparkContext.broadcast(0)
-      end = mark.id
-      mark.destroy()
+    val rho = Array.tabulate(1000)(i => (i % 13) + Jitter.frac(i))
+    val stages = TestUtil.assertReleases(spark) {
+      intercept[SparkException](Run(spark)(ScanDependents.compute(_, () => throw new IllegalStateException("no points"), rho)))
     }
     assert(stages >= 1)
-    // Destroying a broadcast removes its blocks asynchronously. Only the task
-    // binaries, one per stage, may remain.
-    eventually(timeout(Span(10, Seconds))) {
-      assert((TestUtil.liveBroadcasts(spark) -- before).count(_ < end) <= stages)
-    }
   }
 
   test("exact algorithms agree with each other end to end (labels)") {
@@ -167,14 +155,15 @@ class ExactAlgosSpec extends SparkSpec {
     assert(r.delta.count(_ == 0.0) === n - 1)
   }
 
-  test("Scan and Ex-DPC report non-negative phase times and Ex-DPC memory") {
-    val pts = TestUtil.uniformPts(500, 2, 100.0, seed = 511)
-    val r   = ExDPC.run(spark, pts, DPCParams(dcut = 10.0))
-    assert(r.times.densityMs >= 0 && r.times.dependentMs >= 0)
-    assert(r.memBytes > 0)
-    val s = ScanDPC.run(spark, pts, DPCParams(dcut = 10.0))
-    assert(s.times.totalMs >= 0)
-  }
+  // Every algorithm times its phases and releases its shares through one Run.
+  for (algo <- Seq[DPCAlgorithm](ScanDPC, RTreeScanDPC, CFSFDPA, LSHDDP, ExDPC, ApproxDPC, SApproxDPC))
+    test(s"${algo.name} reports non-negative phase times and releases its shares") {
+      val pts = TestUtil.uniformPts(500, 2, 100.0, seed = 511)
+      var r: DPCResult = null
+      TestUtil.assertReleases(spark) { r = algo.run(spark, pts, DPCParams(dcut = 10.0)) }
+      assert(r.times.densityMs >= 0 && r.times.dependentMs >= 0)
+      assert(r.memBytes > 0 || algo == ScanDPC) // Scan models none
+    }
 
   test("rho excludes the point itself") {
     // two points closer than dcut: each has rho floor 1

@@ -59,13 +59,11 @@ class ExactDependentsSpec extends SparkSpec {
     assert(small.length * ExactDependents.queryWork(pts.n, pts.d) < Par.FanOutWork)
     var out = Array.empty[(Int, Int, Double)]
     var dep = Array.empty[Int]
-    val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, all))
-    try {
-      assert(TestUtil.sparkWork(spark) {
-        assert(TestUtil.broadcastsIn(spark) { out = ExactDependents.compute(spark, pts, rho, all, small) } === 0)
-        assert(TestUtil.broadcastsIn(spark) { dep = ExactDependents.compute(spark, tree, pts, rho, all, small)._1 } === 0)
-      } === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
-    } finally tree.destroy()
+    val tree = MaxRhoKdTree.build(pts, all)
+    assert(TestUtil.sparkWork(spark) {
+      assert(TestUtil.broadcastsIn(spark) { out = ExactDependents.compute(spark, pts, rho, all, small) } === 0)
+      assert(TestUtil.broadcastsIn(spark) { dep = Run(spark)(ExactDependents.search(_, tree, pts, rho, all, small)._1) } === 0)
+    } === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
     assert(out.map(_._2).toSeq === dep.toSeq)
   }
 
@@ -74,12 +72,20 @@ class ExactDependentsSpec extends SparkSpec {
     assert(big.length * ExactDependents.queryWork(pts.n, pts.d) >= Par.FanOutWork)
     assert((big.length - 1) * ExactDependents.queryWork(pts.n, pts.d) < Par.FanOutWork)
     // One group per core: on a single core that one group runs on the driver.
-    val expected = if (spark.sparkContext.defaultParallelism > 1) (1, 1, 0L) else (0, 0, 0L)
-    val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, all))
-    try {
-      assert(TestUtil.sparkWork(spark)(ExactDependents.compute(spark, pts, rho, all, big)) === expected)
-      assert(TestUtil.sparkWork(spark)(ExactDependents.compute(spark, tree, pts, rho, all, big)) === expected)
-    } finally tree.destroy()
+    val fansOut  = spark.sparkContext.defaultParallelism > 1
+    val expected = if (fansOut) (1, 1, 0L) else (0, 0, 0L)
+    val tree = MaxRhoKdTree.build(pts, all)
+    assert(TestUtil.sparkWork(spark)(ExactDependents.compute(spark, pts, rho, all, big)) === expected)
+    Run(spark) { run =>
+      // A tree the run already shared, as Approx-DPC's grid pass does, is not
+      // shipped again: the fan-out adds the densities and the queries only.
+      run.share(tree)
+      var bcasts = 0L
+      assert(TestUtil.sparkWork(spark) {
+        bcasts = TestUtil.broadcastsIn(spark)(ExactDependents.search(run, tree, pts, rho, all, big))
+      } === expected)
+      assert(bcasts === (if (fansOut) 1 + 2 else 0))
+    }
   }
 
   test("the driver path and the fan-out path match brute force bit for bit, ties to the smallest id") {
@@ -147,19 +153,17 @@ class ExactDependentsSpec extends SparkSpec {
     checkAll(pts, rho, universe, queries, out, q => bruteOver(pts, rho, universe, q))
   }
 
-  test("a broadcast tree over all points answers a restricted universe like a tree over the universe") {
+  test("a tree over all points answers a restricted universe like a tree over the universe") {
     val pts      = TestUtil.clusteredPts(2500, 2, k = 3, sigma = 30.0, domain = 1000.0, seed = 817)
     val full     = TestUtil.bruteRho(pts, 40.0)
     val universe = (0 until pts.n by 3).toArray
     val rho      = Array.fill(pts.n)(Double.NaN)
     universe.foreach(i => rho(i) = full(i))
-    val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, Array.range(0, pts.n)))
-    try {
-      val (dep, delta) = ExactDependents.compute(spark, tree, pts, rho, universe, universe)
-      val out = Array.tabulate(universe.length)(k => (universe(k), dep(k), delta(k)))
-      assert(out.toSeq === ExactDependents.compute(spark, pts, rho, universe, universe).toSeq)
-      checkAll(pts, rho, universe, universe, out, q => bruteOver(pts, rho, universe, q))
-    } finally tree.destroy()
+    val tree = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
+    val (dep, delta) = Run(spark)(ExactDependents.search(_, tree, pts, rho, universe, universe))
+    val out = Array.tabulate(universe.length)(k => (universe(k), dep(k), delta(k)))
+    assert(out.toSeq === ExactDependents.compute(spark, pts, rho, universe, universe).toSeq)
+    checkAll(pts, rho, universe, universe, out, q => bruteOver(pts, rho, universe, q))
   }
 
   test("no queries or an empty universe return without a search") {
@@ -168,14 +172,14 @@ class ExactDependentsSpec extends SparkSpec {
     assert(ExactDependents.compute(spark, pts, rho, Array.tabulate(20)(identity), Array.empty).isEmpty)
     assert(ExactDependents.compute(spark, pts, rho, Array.empty, Array(3)).toSeq ===
       Seq((3, -1, Double.PositiveInfinity)))
-    // The broadcast overload answers both through its general search.
-    val tree = spark.sparkContext.broadcast(MaxRhoKdTree.build(pts, Array.range(0, pts.n)))
-    try {
-      val (dep0, delta0) = ExactDependents.compute(spark, tree, pts, rho, Array.range(0, pts.n), Array.empty)
+    // search answers both through its general path.
+    val tree = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
+    Run(spark) { run =>
+      val (dep0, delta0) = ExactDependents.search(run, tree, pts, rho, Array.range(0, pts.n), Array.empty)
       assert(dep0.isEmpty && delta0.isEmpty)
-      val (dep1, delta1) = ExactDependents.compute(spark, tree, pts, rho, Array.empty, Array(3))
+      val (dep1, delta1) = ExactDependents.search(run, tree, pts, rho, Array.empty, Array(3))
       assert(dep1.toSeq === Seq(-1) && delta1.toSeq === Seq(Double.PositiveInfinity))
-    } finally tree.destroy()
+    }
   }
 
   test("memBytes models the tree's leaf-order arrays, node arrays and boxes") {

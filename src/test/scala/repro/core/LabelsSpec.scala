@@ -119,6 +119,25 @@ class LabelsSpec extends AnyFunSuite {
     assert(ok.lshTables === 1 && ok.lshLen === 1)
   }
 
+  test("DPCParams rejects a NaN rhoMin and an epsilon that is not positive or makes an infinite cell, naming the value") {
+    val bad = Seq(
+      ("rhoMin (NaN)", () => DPCParams(dcut = 1.0, rhoMin = Double.NaN)),
+      ("epsilon (Infinity)", () => DPCParams(dcut = 1.0, epsilon = Double.PositiveInfinity)),
+      ("epsilon (NaN)", () => DPCParams(dcut = 1.0, epsilon = Double.NaN)),
+      ("epsilon (0.0)", () => DPCParams(dcut = 1.0, epsilon = 0.0)),
+      ("epsilon (-1.0)", () => DPCParams(dcut = 1.0, epsilon = -1.0)),
+      ("epsilon (1.7976931348623157E308)", () => DPCParams(dcut = 10.0, epsilon = Double.MaxValue))
+    )
+    bad.foreach { case (field, make) =>
+      val e = intercept[IllegalArgumentException](make())
+      assert(e.getMessage.contains(field), e.getMessage)
+    }
+    // No point noise, every point noise, and a huge epsilon are all well defined.
+    val ok = DPCParams(dcut = 1.0, rhoMin = Double.NegativeInfinity, epsilon = Double.MaxValue)
+    assert(ok.rhoMin.isInfinite && ok.epsilon === Double.MaxValue)
+    assert(DPCParams(dcut = 1.0, rhoMin = Double.PositiveInfinity).rhoMin.isInfinite)
+  }
+
   test("Rand index: identical labelings score 1") {
     val a = Array(0, 0, 1, 1, 2, -1)
     assert(RandIndex.of(a, a) === 1.0)
