@@ -90,10 +90,10 @@ object Par {
     Array.tabulate(p)(g => Array.range(g * step, math.min(n, (g + 1) * step))).filter(_.nonEmpty)
   }
 
-  /** Whether [[mapGroups]] runs `groups` on the driver: then a caller has
-    * nothing to share for it in its [[Run]].
+  /** Whether [[mapGroups]] runs `groups` on the driver, with no Spark job (one
+    * group, or none): then a caller has nothing to share for it in its [[Run]].
     */
-  def onDriver(groups: Array[Array[Int]]): Boolean = groups.length == 1
+  def onDriver(groups: Array[Array[Int]]): Boolean = groups.length <= 1
 
   /** Runs `f` once on each group, each group in its own Spark task of one
     * RDD stage with no shuffle, and returns the results in group order. A

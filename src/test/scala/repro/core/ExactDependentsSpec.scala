@@ -172,11 +172,15 @@ class ExactDependentsSpec extends SparkSpec {
     assert(ExactDependents.compute(spark, pts, rho, Array.tabulate(20)(identity), Array.empty).isEmpty)
     assert(ExactDependents.compute(spark, pts, rho, Array.empty, Array(3)).toSeq ===
       Seq((3, -1, Double.PositiveInfinity)))
-    // search answers both through its general path.
+    // search answers both through its general path, and an empty query set
+    // shares nothing.
     val tree = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
     Run(spark) { run =>
-      val (dep0, delta0) = ExactDependents.search(run, tree, pts, rho, Array.range(0, pts.n), Array.empty)
-      assert(dep0.isEmpty && delta0.isEmpty)
+      var dep0 = Array(0)
+      assert(TestUtil.broadcastsIn(spark) {
+        dep0 = ExactDependents.search(run, tree, pts, rho, Array.range(0, pts.n), Array.empty)._1
+      } === 0)
+      assert(dep0.isEmpty)
       val (dep1, delta1) = ExactDependents.search(run, tree, pts, rho, Array.empty, Array(3))
       assert(dep1.toSeq === Seq(-1) && delta1.toSeq === Seq(Double.PositiveInfinity))
     }
