@@ -31,7 +31,7 @@ object CFSFDPA extends DPCAlgorithm {
     val dcut2 = dcut * dcut
     val k     = math.min(n, math.max(2, math.ceil(math.sqrt(n.toDouble)).toInt))
 
-    val bcPts = run.rho(run.share(pts))
+    val shPts = run.share(pts)
     val rho = run.rho {
       val km = KMeans.fit(pts, k, iters = 5)
 
@@ -56,14 +56,14 @@ object CFSFDPA extends DPCAlgorithm {
         sortedDists(m) = byDist.map(j => pivDist(j * k + m))
         m += 1
       }
-      val bcPD = run.share(pivDist)
-      val bcSM = run.share(sortedMembers)
-      val bcSD = run.share(sortedDists)
+      val shPD = run.share(pivDist)
+      val shSM = run.share(sortedMembers)
+      val shSD = run.share(sortedDists)
       Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-        val p  = bcPts.value
-        val pd = bcPD.value
-        val sm = bcSM.value
-        val sd = bcSD.value
+        val p  = shPts.value
+        val pd = shPD.value
+        val sm = shSM.value
+        val sd = shSD.value
         qi => {
           var cnt = 0
           var mm = 0
@@ -87,7 +87,7 @@ object CFSFDPA extends DPCAlgorithm {
       }
     }
 
-    val (depId, delta) = run.delta(ScanDependents.compute(run, () => bcPts.value, rho))
+    val (depId, delta) = run.delta(ScanDependents.compute(run, pts, rho))
     val mem = 8L * n * k +                       // pivot-distance matrix
       (8L + 4L) * n +                            // sorted lists (dist + id per point)
       8L * k * pts.d                             // centroids

@@ -86,11 +86,11 @@ object CellPass {
     val (tree, grid, rho, pstar, minRho, nbrOff, nbrs) = run.rho {
       val tree   = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
       val grid   = new Grid(pts, side)
-      val bcPts  = run.share(pts)
-      val bcTree = run.share(tree)
-      val bcGrid = run.share(grid)
+      val shPts  = run.share(pts)
+      val shTree = run.share(tree)
+      val shGrid = run.share(grid)
       val groups = Par.lpt(Array.tabulate(grid.nCells)(grid.size(_).toDouble), run.spark.sparkContext.defaultParallelism)
-      val blocks = Par.mapGroups(run.spark, groups)(densities(bcPts.value, bcTree.value, bcGrid.value, dcut, firstOnly, _))
+      val blocks = Par.mapGroups(run.spark, groups)(densities(shPts.value, shTree.value, shGrid.value, dcut, firstOnly, _))
 
       val rho    = Array.fill(pts.n)(Double.NaN)
       val pstar  = new Array[Int](grid.nCells)

@@ -16,19 +16,16 @@ object Dependents {
 
   /** Returns `(depId, delta)` of each query, in the order of `queries`:
     * `delta(k)` is `pts.dist(queries(k), depId(k))`, or +inf where `depId(k)`
-    * is -1. `pts` is read only after the kernel has run, so that a caller may
-    * pass a share's value, which the driver then reads only if the tasks
-    * succeeded.
+    * is -1.
     */
-  def search(spark: SparkSession, pts: => Pts, queries: Array[Int], groups: Array[Array[Int]])(
+  def search(spark: SparkSession, pts: Pts, queries: Array[Int], groups: Array[Array[Int]])(
       kernel: () => Int => Int
   ): (Array[Int], Array[Double]) = {
     val depId = Par.mapItems(spark, queries.length, groups)(kernel)
-    val p     = pts
     val delta = new Array[Double](queries.length)
     var k = 0
     while (k < queries.length) {
-      delta(k) = if (depId(k) < 0) Double.PositiveInfinity else p.dist(queries(k), depId(k))
+      delta(k) = if (depId(k) < 0) Double.PositiveInfinity else pts.dist(queries(k), depId(k))
       k += 1
     }
     (depId, delta)
@@ -47,25 +44,22 @@ object ScanDependents {
 
   /** Returns `(depId, delta)`; the top-density point gets `(-1, +inf)`. */
   def compute(spark: SparkSession, pts: Pts, rho: Array[Double]): (Array[Int], Array[Double]) =
-    Run(spark) { run =>
-      val bcPts = run.share(pts)
-      compute(run, () => bcPts.value, rho)
-    }
+    Run(spark)(compute(_, pts, rho))
 
-  /** [[compute]] in `run`, over the points each task gets from `points`, a
-    * factory that reads a share the caller has already made, such as the one
-    * its density phase read, so the points are shipped once per run. The
-    * density order is shared in `run`.
+  /** [[compute]] in `run`: the points and their density order are shared in
+    * `run`, so a caller whose density phase shared the same points adds only
+    * the order.
     */
-  def compute(run: Run, points: () => Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
+  def compute(run: Run, pts: Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
     val n       = rho.length
     val order   = Order.descending(rho)
-    val bcOrder = run.share(order)
+    val shPts   = run.share(pts)
+    val shOrder = run.share(order)
     // The query at position r scans the r points before it: LPT-balance by r.
     val groups = Par.lpt(Array.tabulate(n)(r => math.max(1.0, r.toDouble)), run.spark.sparkContext.defaultParallelism)
-    val (dep, delta) = Dependents.search(run.spark, points(), order, groups) { () =>
-      val od  = bcOrder.value
-      val c   = new Columns(points(), od)
+    val (dep, delta) = Dependents.search(run.spark, pts, order, groups) { () =>
+      val od  = shOrder.value
+      val c   = new Columns(shPts.value, od)
       val q   = new Array[Double](c.d)
       val acc = new Array[Double](Columns.Chunk)
       r => {
@@ -88,8 +82,7 @@ object ScanDependents {
   * model. This replaces the paper's `s` density-sorted subset trees of
   * Equation (2) and their `cost_dep` balancing; see DESIGN.md §3. The queries
   * are sized by [[Par.sized]] from [[queryWork]]: a small query set runs on
-  * the driver with nothing shared, a large one fans out over one group per
-  * core.
+  * the driver, a large one fans out over one group per core.
   */
 object ExactDependents {
 
@@ -116,8 +109,7 @@ object ExactDependents {
     * with no higher-density universe point get `(-1, +inf)`. `delta` is
     * bit-identical to `pts.dist(query, depId)`; among equidistant candidates
     * the smallest id is chosen. Builds a tree over the universe and runs
-    * [[search]] in a run of its own, so the tree is shared only when the
-    * queries fan out.
+    * [[search]] in a run of its own.
     */
   def compute(
       spark: SparkSession,
@@ -134,9 +126,9 @@ object ExactDependents {
 
   /** [[compute]] in `run` over `tree`, which indexes at least the universe,
     * such as the one a density phase searched. Returns `(depId, delta)` of
-    * each query, in the order of `queries`. On the driver nothing is shared;
-    * when the queries fan out, the tree, its densities and the queries are
-    * shared in `run`, and a tree the run already shared is not shipped again.
+    * each query, in the order of `queries`. The tree, its densities, the
+    * points, `rho` and the queries are shared in `run`; an object the run
+    * already shared, such as a grid pass's tree and points, keeps its share.
     */
   def search(
       run: Run,
@@ -146,37 +138,26 @@ object ExactDependents {
       universe: Array[Int],
       queries: Array[Int]
   ): (Array[Int], Array[Double]) = {
-    val m    = queries.length
-    val d    = pts.d
-    val dens = tree.densities(rho, universe)
-    // The search reads only the tree, its densities and the queries' own
-    // coordinates and densities.
-    val qx   = new Array[Double](m * d)
-    var k = 0
-    while (k < m) { System.arraycopy(pts.data, queries(k) * d, qx, k * d, d); k += 1 }
-    val qRho = queries.map(rho)
-
-    val groups = Par.sized(run.spark, m, m * queryWork(universe.length, d))
-    if (Par.onDriver(groups)) Dependents.search(run.spark, pts, queries, groups)(() => kernel(tree, dens, qx, qRho, d))
-    else {
-      val bcTree = run.share(tree)
-      val bcDens = run.share(dens)
-      val bcQ    = run.share((qx, qRho))
-      Dependents.search(run.spark, pts, queries, groups) { () =>
-        val (xs, rq) = bcQ.value
-        kernel(bcTree.value, bcDens.value, xs, rq, d)
+    val shTree  = run.share(tree)
+    val shDens  = run.share(tree.densities(rho, universe))
+    val shPts   = run.share(pts)
+    val shRho   = run.share(rho)
+    val shQuery = run.share(queries)
+    val groups  = Par.sized(run.spark, queries.length, queries.length * queryWork(universe.length, pts.d))
+    // The dependent id of the query at a position: the smallest id among the
+    // nearest points denser than it.
+    Dependents.search(run.spark, pts, queries, groups) { () =>
+      val t    = shTree.value
+      val dens = shDens.value
+      val p    = shPts.value
+      val rh   = shRho.value
+      val qs   = shQuery.value
+      val q    = new Array[Double](p.d)
+      k => {
+        val i = qs(k)
+        System.arraycopy(p.data, i * p.d, q, 0, p.d)
+        t.denserNearest(q, rh(i), dens)._1
       }
-    }
-  }
-
-  /** The dependent id of the query at a position of `xs` (row-major, `d` per
-    * query) and `rq`: the smallest id among the nearest points denser than it.
-    */
-  private def kernel(t: MaxRhoKdTree, dens: MaxRhoKdTree.Densities, xs: Array[Double], rq: Array[Double], d: Int): Int => Int = {
-    val q = new Array[Double](d)
-    k => {
-      System.arraycopy(xs, k * d, q, 0, d)
-      t.denserNearest(q, rq(k), dens)._1
     }
   }
 }

@@ -7,11 +7,8 @@ import repro.kdtree.{KdTree, MaxRhoKdTree}
   *
   * Densities: one range count per point on a static [[MaxRhoKdTree]] through
   * [[Density]], parallelized across Spark tasks with dynamic oversubscription
-  * (the paper's `omp parallel for schedule(dynamic)`). The tree is the run's
-  * only share: each task reads the queries' coordinates from its leaf-order
-  * copy, through an id-to-slot map of n ints that the task builds (not in
-  * `memBytes`). The rho phase is the tree build and the density job; the
-  * share is released when the run ends, after the delta phase.
+  * (the paper's `omp parallel for schedule(dynamic)`); the tasks read the
+  * points and the tree as the run's shares.
   *
   * Dependent points (the delta phase: the density-order sort and this loop):
   * the kd-tree is destroyed and rebuilt *incrementally* in descending density
@@ -29,13 +26,14 @@ object ExDPC extends DPCAlgorithm {
     val dcut = params.dcut
 
     val tree   = run.rho(MaxRhoKdTree.build(pts, Array.range(0, n)))
-    val bcTree = run.rho(run.share(tree))
+    val shPts  = run.share(pts)
+    val shTree = run.share(tree)
     val rho = run.rho(Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-      val t    = bcTree.value
-      val slot = t.slots(n)
-      val q    = new Array[Double](d)
+      val p = shPts.value
+      val t = shTree.value
+      val q = new Array[Double](d)
       i => {
-        t.coords(slot(i), q)
+        System.arraycopy(p.data, i * d, q, 0, d)
         t.rangeCount(q, dcut) - 1 // exclude the point itself
       }
     })

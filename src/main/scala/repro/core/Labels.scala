@@ -66,6 +66,7 @@ object DecisionGraph {
     * Clamped above `dcut` as Definition 5 requires.
     */
   def deltaMinForK(res: DPCResult, rhoMin: Double, k: Int, dcut: Double): Double = {
+    require(k >= 1, s"k ($k) must be at least 1")
     val deltas = (0 until res.n)
       .filter(i => !Labels.isNoise(res.rho(i), rhoMin))
       .map(res.delta)

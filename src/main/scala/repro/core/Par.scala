@@ -69,11 +69,14 @@ object Par {
     groups.map(_.result())
   }
 
-  /** `0 until n` dealt round-robin into `oversub` groups per core (at most
+  /** Groups per core of [[indexed]]. */
+  val Oversub = 4
+
+  /** `0 until n` dealt round-robin into [[Oversub]] groups per core (at most
     * `n` groups): group g holds `g, g + parts, g + 2 * parts, ...`.
     */
-  def indexed(spark: SparkSession, n: Int, oversub: Int = 4): Array[Array[Int]] =
-    roundRobin(n, spark.sparkContext.defaultParallelism * oversub)
+  def indexed(spark: SparkSession, n: Int): Array[Array[Int]] =
+    roundRobin(n, spark.sparkContext.defaultParallelism * Oversub)
 
   /** `0 until n` dealt round-robin into `min(n, parts)` groups. */
   private def roundRobin(n: Int, parts: Int): Array[Array[Int]] = {
@@ -90,27 +93,20 @@ object Par {
     Array.tabulate(p)(g => Array.range(g * step, math.min(n, (g + 1) * step))).filter(_.nonEmpty)
   }
 
-  /** Whether [[mapGroups]] runs `groups` on the driver, with no Spark job (one
-    * group, or none): then a caller has nothing to share for it in its [[Run]].
-    */
-  def onDriver(groups: Array[Array[Int]]): Boolean = groups.length <= 1
-
   /** Runs `f` once on each group, each group in its own Spark task of one
     * RDD stage with no shuffle, and returns the results in group order. A
     * single group runs as `f` on the driver, with no Spark job.
     */
   def mapGroups[T: ClassTag](spark: SparkSession, groups: Array[Array[Int]])(f: Array[Int] => T): Array[T] =
     if (groups.isEmpty) Array.empty[T]
-    else if (onDriver(groups)) Array(f(groups(0)))
+    else if (groups.length == 1) Array(f(groups(0)))
     else spark.sparkContext.parallelize(groups.toSeq, groups.length).map(f).collect()
 
   /** [[mapGroups]] over the [[indexed]] groups, with each group's results
     * flattened in group order.
     */
-  def mapIndexed[T: ClassTag](spark: SparkSession, n: Int, oversub: Int = 4)(
-      f: Array[Int] => Iterator[T]
-  ): Array[T] =
-    mapGroups(spark, indexed(spark, n, oversub))(g => f(g).toArray).flatten
+  def mapIndexed[T: ClassTag](spark: SparkSession, n: Int)(f: Array[Int] => Iterator[T]): Array[T] =
+    mapGroups(spark, indexed(spark, n))(g => f(g).toArray).flatten
 
   /** `kernel`'s result for every item of `groups` (which together hold
     * `0 until n` once), placed by item index: each group runs in its own task,

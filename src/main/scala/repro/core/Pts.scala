@@ -9,10 +9,9 @@ import scala.collection.mutable
   *
   * This is the in-memory representation every DPC algorithm operates on. Points
   * are addressed by their index `0 until n`; the original DataFrame ids are kept
-  * in [[ids]] so results can be joined back. The class is `Serializable` so it
-  * can be shipped once via a Spark broadcast (in `local[*]` the broadcast value
-  * is shared by reference across task threads — true shared memory, matching
-  * the paper's multicore model).
+  * in [[ids]] so results can be joined back. Spark tasks read it as a [[Run]]
+  * share, which is the driver's own object, shared by reference across task
+  * threads — true shared memory, matching the paper's multicore model.
   */
 final class Pts(val n: Int, val d: Int, val data: Array[Double], val ids: Array[Long])
     extends Serializable {

@@ -14,17 +14,15 @@ object RTreeScanDPC extends DPCAlgorithm {
     val n    = pts.n
     val dcut = params.dcut
 
-    // The tree holds the points, so they are shipped once, inside it, for
-    // both phases.
     val tree   = run.rho(new RTree(pts).buildAll())
-    val bcTree = run.rho(run.share(tree))
+    val shTree = run.share(tree)
     val rho = run.rho(Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-      val t = bcTree.value
+      val t = shTree.value
       // rangeCount includes the query point itself (distance 0): subtract it.
       i => t.rangeCount(t.pts.point(i), dcut) - 1
     })
 
-    val (depId, delta) = run.delta(ScanDependents.compute(run, () => bcTree.value.pts, rho))
+    val (depId, delta) = run.delta(ScanDependents.compute(run, pts, rho))
     new DPCResult(rho, depId, delta, run.times, tree.memBytes)
   }
 }

@@ -18,8 +18,7 @@ import scala.collection.mutable
   * inequality in phase 2. If `|P'_pick|^2` exceeds O(n), the paper's fallback
   * — Approx-DPC's exact dependent search over the picked set — kicks in. It
   * searches the pass's [[repro.kdtree.MaxRhoKdTree]], with densities attached
-  * for the picked points only, and ships it again to no task: a fan-out reuses
-  * the pass's share in the same [[Run]].
+  * for the picked points only, through the pass's share in the same [[Run]].
   */
 object SApproxDPC extends DPCAlgorithm {
   override val name = "S-Approx-DPC"

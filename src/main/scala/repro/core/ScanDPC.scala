@@ -14,10 +14,10 @@ object ScanDPC extends DPCAlgorithm {
     val n     = pts.n
     val dcut2 = params.dcut * params.dcut
 
-    val bcPts = run.rho(run.share(pts))
+    val shPts = run.share(pts)
     val rho = run.rho(Density.rho(spark, n, Par.indexed(spark, n)) { () =>
       // Rows in id order; point i is left out by its row.
-      val c   = new Columns(bcPts.value, Array.range(0, n))
+      val c   = new Columns(shPts.value, Array.range(0, n))
       val q   = new Array[Double](c.d)
       val acc = new Array[Double](Columns.Chunk)
       i => {
@@ -26,7 +26,7 @@ object ScanDPC extends DPCAlgorithm {
       }
     })
 
-    val (depId, delta) = run.delta(ScanDependents.compute(run, () => bcPts.value, rho))
+    val (depId, delta) = run.delta(ScanDependents.compute(run, pts, rho))
     new DPCResult(rho, depId, delta, run.times, memBytes = 0L)
   }
 }

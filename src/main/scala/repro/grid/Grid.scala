@@ -12,8 +12,7 @@ import repro.core.Pts
   *
   * Layout is flat: the members of cell `c` are `members(start(c) until
   * start(c + 1))`, in ascending id, and its key is `keys(c * d until (c + 1) *
-  * d)`. The grid holds no reference to the point set, so broadcasting it ships
-  * only these arrays.
+  * d)`. The grid holds no reference to the point set.
   */
 final class Grid private (
     val side: Double,
@@ -22,7 +21,7 @@ final class Grid private (
     val start: Array[Int],    // nCells + 1 offsets into members
     val members: Array[Int],  // point ids in cell order
     keys: Array[Int]          // integer cell coordinates, row-major
-) extends Serializable {
+) {
 
   private def this(side: Double, d: Int, b: (Array[Int], Array[Int], Array[Int], Array[Int])) =
     this(side, d, b._1, b._2, b._3, b._4)

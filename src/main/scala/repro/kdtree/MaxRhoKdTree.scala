@@ -8,12 +8,12 @@ import repro.core.Pts
   * Huang, Yu and Shun, "Faster Parallel Exact Density Peaks Clustering"
   * (ACDA 2023).
   *
-  * The tree itself holds geometry only, so it can be built and broadcast
+  * The tree itself holds geometry only, so it can be built and shared
   * before any density is known. After the density phase, [[densities]] puts
   * the densities into leaf order and gives every node the largest density in
-  * its subtree; that small [[MaxRhoKdTree.Densities]] value is all that a
-  * second broadcast has to ship. Queries are independent and re-entrant, so
-  * one broadcast tree serves all Spark tasks.
+  * its subtree, as a separate [[MaxRhoKdTree.Densities]] value, so one tree
+  * serves several sets of densities. Queries are independent and re-entrant,
+  * so one tree serves all Spark tasks.
   *
   * Layout is flat: ids and coordinates are permuted into leaf order, and every
   * node is a row of the node arrays (pre-order, so an internal node's left
@@ -30,7 +30,7 @@ final class MaxRhoKdTree private (
     boxLo: Array[Double],  // per node, d coordinates
     boxHi: Array[Double],
     height: Int
-) extends Serializable {
+) {
 
   /** Squared distance from `q` to the box of `node` (0 inside it). A point in
     * the box is never nearer: coordinate differences round monotonically.
@@ -75,19 +75,6 @@ final class MaxRhoKdTree private (
     while (j < d) { val t = q(j) - xs(s * d + j); d2 += t * t; j += 1 }
     d2
   }
-
-  /** Leaf slot of every point id in `0 until n`, -1 for an id the tree does
-    * not index; `n` must exceed every indexed id. O(n).
-    */
-  def slots(n: Int): Array[Int] = {
-    val slot = Array.fill(n)(-1)
-    var s = 0
-    while (s < perm.length) { slot(perm(s)) = s; s += 1 }
-    slot
-  }
-
-  /** Copies the coordinates of the point in leaf slot `s` into `q`. */
-  def coords(s: Int, q: Array[Double]): Unit = System.arraycopy(xs, s * d, q, 0, d)
 
   /** Ids with dist(q, p) <= r. A node whose box lies inside the ball
     * contributes its whole leaf slice.
@@ -245,7 +232,6 @@ object MaxRhoKdTree {
     * each node; see [[MaxRhoKdTree.densities]].
     */
   final class Densities private[kdtree] (val rhos: Array[Double], val maxRho: Array[Double])
-      extends Serializable
 
   /** Builds the tree over the points `ids` of `pts`.
     *

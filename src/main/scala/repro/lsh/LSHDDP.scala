@@ -36,15 +36,15 @@ object LSHDDP extends DPCAlgorithm {
 
     // Table t's buckets are the cells of side w of P's projection.
     val grids   = run.rho(Array.tabulate(m)(t => new Grid(lsh.project(t, pts), lsh.w)))
-    val bcPts   = run.rho(run.share(pts))
-    val bcGrids = run.rho(run.share(grids))
+    val shPts   = run.share(pts)
+    val shGrids = run.share(grids)
     val groups  = Par.ranges(n, spark.sparkContext.defaultParallelism)
 
     // seen(j) == i: j was visited for point i. A task sees each i once, so
     // the stamps need no reset.
     val rho = run.rho(Density.rho(spark, n, groups) { () =>
-      val p     = bcPts.value
-      val grids = bcGrids.value
+      val p     = shPts.value
+      val grids = shGrids.value
       val seen  = Array.fill(p.n)(-1)
       i => {
         seen(i) = i
@@ -69,11 +69,11 @@ object LSHDDP extends DPCAlgorithm {
     // Dependent: nearest denser bucket mate, the smallest id among equally
     // near ones, else exact full scan.
     val (depId, delta) = run.delta {
-      val bcRho = run.share(rho)
+      val shRho = run.share(rho)
       Dependents.search(spark, pts, Array.range(0, n), groups) { () =>
-        val p     = bcPts.value
-        val grids = bcGrids.value
-        val rh    = bcRho.value
+        val p     = shPts.value
+        val grids = shGrids.value
+        val rh    = shRho.value
         val seen  = Array.fill(p.n)(-1)
         i => {
           seen(i) = i

@@ -5,13 +5,15 @@ import repro.core.Pts
 /** Bulk-loaded in-memory R-tree over a [[Pts]] set.
   *
   * Built STR-style: ids are recursively sorted on cycling axes and split into
-  * `fanout` slabs, so sibling MBRs are near-disjoint. Only range counting is
+  * `Fanout` slabs, so sibling MBRs are near-disjoint. Only range counting is
   * required by the `R-tree + Scan` baseline (its dependent-point phase reuses
   * Scan's, exactly as in the paper's experiments).
   */
-final class RTree(val pts: Pts, fanout: Int = 8, leafCap: Int = 32) extends Serializable {
+final class RTree(val pts: Pts) {
+  private val Fanout  = 8  // children of an inner node, at most
+  private val LeafCap = 32 // ids of a leaf, at most
 
-  private sealed trait Node extends Serializable {
+  private sealed trait Node {
     def lo: Array[Double]
     def hi: Array[Double]
     def size: Int
@@ -50,10 +52,10 @@ final class RTree(val pts: Pts, fanout: Int = 8, leafCap: Int = 32) extends Seri
   private def build(ids: Array[Int], depth: Int): Node = {
     nodes += 1
     val (lo, hi) = mbr(ids)
-    if (ids.length <= leafCap) return Leaf(ids, lo, hi)
+    if (ids.length <= LeafCap) return Leaf(ids, lo, hi)
     val axis   = depth % pts.d
     val sorted = ids.sortBy(i => pts.coord(i, axis))
-    val step   = (sorted.length + fanout - 1) / fanout
+    val step   = (sorted.length + Fanout - 1) / Fanout
     val kids   = sorted.grouped(step).map(g => build(g, depth + 1)).toArray
     Inner(kids, lo, hi)
   }

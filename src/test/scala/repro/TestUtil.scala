@@ -2,9 +2,7 @@ package repro
 
 import org.apache.spark.scheduler._
 import org.apache.spark.sql.SparkSession
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.{Seconds, Span}
-import repro.core.{Jitter, Pts}
+import repro.core.{Jitter, Pts, Run}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -138,29 +136,21 @@ object TestUtil {
     after.id - before.id - 1
   }
 
-  /** Ids of the broadcasts that are still alive: those with a block in the
-    * driver's block manager.
-    */
-  def liveBroadcasts(spark: SparkSession): Set[Long] =
-    org.apache.spark.BlockManagerAccess.broadcastIds(spark.sparkContext).toSet
+  /** Number of [[Run]] shares `body` makes: keys are handed out in order. */
+  def sharesIn(body: => Unit): Long = {
+    val before = Run.keys.get
+    body
+    Run.keys.get - before
+  }
 
-  /** Runs `body` and checks that no broadcast it made is still alive
-    * afterwards besides the task binaries, one per Spark stage, waiting up to
-    * 10 s since a destroyed broadcast's blocks are removed asynchronously.
-    * Returns the number of stages `body` ran.
+  /** Runs `body` and checks that every [[Run]] share made meanwhile has left
+    * the registry. Returns the number of stages `body` ran.
     */
   def assertReleases(spark: SparkSession)(body: => Unit): Int = {
-    val before = liveBroadcasts(spark)
-    var end    = 0L // the first broadcast id after the call
-    val (_, stages, _) = sparkWork(spark) {
-      body
-      val mark = spark.sparkContext.broadcast(0)
-      end = mark.id
-      mark.destroy()
-    }
-    eventually(timeout(Span(10, Seconds))) {
-      assert((liveBroadcasts(spark) -- before).count(_ < end) <= stages)
-    }
+    val before = Run.keys.get
+    val (_, stages, _) = sparkWork(spark)(body)
+    val live = (before until Run.keys.get).filter(k => Run.registry.containsKey(k))
+    assert(live.isEmpty, s"shares ${live.mkString(", ")} outlived their run")
     stages
   }
 

@@ -9,11 +9,13 @@ class DensitySpec extends SparkSpec {
 
   private def rho(pts: Pts, dcut: Double, groups: Array[Array[Int]]): Array[Double] = {
     val dcut2 = dcut * dcut
-    val bcPts = spark.sparkContext.broadcast(pts)
-    try Density.rho(spark, pts.n, groups) { () =>
-      val p = bcPts.value
-      i => (0 until p.n).count(j => j != i && p.dist2(i, j) < dcut2)
-    } finally bcPts.destroy()
+    Run(spark) { run =>
+      val shPts = run.share(pts)
+      Density.rho(spark, pts.n, groups) { () =>
+        val p = shPts.value
+        i => (0 until p.n).count(j => j != i && p.dist2(i, j) < dcut2)
+      }
+    }
   }
 
   private def check(pts: Pts, dcut: Double, groups: Array[Array[Int]]): Unit =

@@ -73,32 +73,40 @@ class ExactAlgosSpec extends SparkSpec {
     }
   }
 
-  // Scan's dependent phase reads the point set its density phase broadcast.
-  // Besides one task binary per Spark stage, a Scan run broadcasts the points
-  // and the dependent phase's density order; CFSFDP-A adds its three pivot
-  // structures. R-tree + Scan ships the points inside its tree. LSH-DDP adds
-  // its M tables, as one array of grids, and its densities. Ex-DPC ships the
-  // points inside its tree and nothing else: its dependent phase is on the
-  // driver. Approx-DPC and S-Approx-DPC add the tree and the grid of their
-  // grid pass; on this input their exact searches run on the driver.
-  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 1), (RTreeScanDPC, 1), (CFSFDPA, 4), (LSHDDP, 2), (ExDPC, 0),
-      (ApproxDPC, 2), (SApproxDPC, 2))) {
+  // A run makes no broadcast besides one task binary per Spark stage, and
+  // shares each object once. Scan's dependent phase reads the point set its
+  // density phase shared and adds the density order; R-tree + Scan adds its
+  // tree, CFSFDP-A its three pivot structures. LSH-DDP adds its M tables, as
+  // one array of grids, and its densities; Ex-DPC its tree. Approx-DPC and
+  // S-Approx-DPC add the tree and the grid of their grid pass; Approx-DPC's
+  // exact search adds the densities on the tree, `rho` and its queries. On
+  // this input S-Approx-DPC takes no fallback.
+  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 1), (RTreeScanDPC, 2), (CFSFDPA, 4), (LSHDDP, 2), (ExDPC, 1),
+      (ApproxDPC, 5), (SApproxDPC, 2))) {
     test(s"${algo.name} broadcasts the point set once per run") {
       val pts = TestUtil.clusteredPts(2000, 2, k = 3, sigma = 30.0, domain = 1000.0, seed = 512)
       var bcasts = 0L
+      var shares = 0L
       val (_, stages, _) = TestUtil.sparkWork(spark) {
-        bcasts = TestUtil.broadcastsIn(spark)(algo.run(spark, pts, DPCParams(dcut = 40.0)))
+        bcasts = TestUtil.broadcastsIn(spark) {
+          shares = TestUtil.sharesIn(algo.run(spark, pts, DPCParams(dcut = 40.0)))
+        }
       }
-      assert(bcasts === stages + 1 + others)
+      assert(bcasts === stages)
+      assert(shares === 1 + others)
     }
   }
 
-  test("ScanDependents releases its broadcasts when a task fails") {
+  test("ScanDependents releases its shares when a task fails") {
+    // rho names 1000 points but there are 10, so every task fails to copy
+    // the rows of its Columns.
+    val pts = TestUtil.uniformPts(10, 2, 100.0, seed = 513)
     val rho = Array.tabulate(1000)(i => (i % 13) + Jitter.frac(i))
+    var shares = 0L
     val stages = TestUtil.assertReleases(spark) {
-      intercept[SparkException](Run(spark)(ScanDependents.compute(_, () => throw new IllegalStateException("no points"), rho)))
+      shares = TestUtil.sharesIn(intercept[SparkException](ScanDependents.compute(spark, pts, rho)))
     }
-    assert(stages >= 1)
+    assert(stages >= 1 && shares === 2)
   }
 
   test("exact algorithms agree with each other end to end (labels)") {

@@ -54,6 +54,8 @@ class ExactDependentsSpec extends SparkSpec {
     (pts, rho, all, small, Array.tabulate(big)(k => (k.toLong * pts.n / big).toInt))
   }
 
+  // The search shares five objects: the tree, its densities, the points,
+  // rho and the queries.
   test("a small query set runs on the driver: no Spark job and no broadcast") {
     val (pts, rho, all, small, _) = dup3
     assert(small.length * ExactDependents.queryWork(pts.n, pts.d) < Par.FanOutWork)
@@ -61,8 +63,10 @@ class ExactDependentsSpec extends SparkSpec {
     var dep = Array.empty[Int]
     val tree = MaxRhoKdTree.build(pts, all)
     assert(TestUtil.sparkWork(spark) {
-      assert(TestUtil.broadcastsIn(spark) { out = ExactDependents.compute(spark, pts, rho, all, small) } === 0)
-      assert(TestUtil.broadcastsIn(spark) { dep = Run(spark)(ExactDependents.search(_, tree, pts, rho, all, small)._1) } === 0)
+      assert(TestUtil.broadcastsIn(spark) {
+        assert(TestUtil.sharesIn { out = ExactDependents.compute(spark, pts, rho, all, small) } === 5)
+        assert(TestUtil.sharesIn { dep = Run(spark)(ExactDependents.search(_, tree, pts, rho, all, small)._1) } === 5)
+      } === 0)
     } === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
     assert(out.map(_._2).toSeq === dep.toSeq)
   }
@@ -77,14 +81,20 @@ class ExactDependentsSpec extends SparkSpec {
     val tree = MaxRhoKdTree.build(pts, all)
     assert(TestUtil.sparkWork(spark)(ExactDependents.compute(spark, pts, rho, all, big)) === expected)
     Run(spark) { run =>
-      // A tree the run already shared, as Approx-DPC's grid pass does, is not
-      // shipped again: the fan-out adds the densities and the queries only.
+      // The tree and the points the run already shared, as Approx-DPC's grid
+      // pass does, keep their shares: the search adds the densities, rho and
+      // the queries, and broadcasts nothing but the stage's task binary.
       run.share(tree)
+      run.share(pts)
       var bcasts = 0L
+      var shares = 0L
       assert(TestUtil.sparkWork(spark) {
-        bcasts = TestUtil.broadcastsIn(spark)(ExactDependents.search(run, tree, pts, rho, all, big))
+        bcasts = TestUtil.broadcastsIn(spark) {
+          shares = TestUtil.sharesIn(ExactDependents.search(run, tree, pts, rho, all, big))
+        }
       } === expected)
-      assert(bcasts === (if (fansOut) 1 + 2 else 0))
+      assert(bcasts === expected._2)
+      assert(shares === 3)
     }
   }
 
@@ -172,14 +182,18 @@ class ExactDependentsSpec extends SparkSpec {
     assert(ExactDependents.compute(spark, pts, rho, Array.tabulate(20)(identity), Array.empty).isEmpty)
     assert(ExactDependents.compute(spark, pts, rho, Array.empty, Array(3)).toSeq ===
       Seq((3, -1, Double.PositiveInfinity)))
-    // search answers both through its general path, and an empty query set
-    // shares nothing.
+    // search answers both through its general path; an empty query set
+    // starts no Spark job and broadcasts nothing.
     val tree = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
     Run(spark) { run =>
       var dep0 = Array(0)
-      assert(TestUtil.broadcastsIn(spark) {
-        dep0 = ExactDependents.search(run, tree, pts, rho, Array.range(0, pts.n), Array.empty)._1
-      } === 0)
+      assert(TestUtil.sparkWork(spark) {
+        assert(TestUtil.broadcastsIn(spark) {
+          assert(TestUtil.sharesIn {
+            dep0 = ExactDependents.search(run, tree, pts, rho, Array.range(0, pts.n), Array.empty)._1
+          } === 5)
+        } === 0)
+      } === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
       assert(dep0.isEmpty)
       val (dep1, delta1) = ExactDependents.search(run, tree, pts, rho, Array.empty, Array(3))
       assert(dep1.toSeq === Seq(-1) && delta1.toSeq === Seq(Double.PositiveInfinity))

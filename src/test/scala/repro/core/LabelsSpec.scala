@@ -85,6 +85,14 @@ class LabelsSpec extends AnyFunSuite {
     assert(dm > 10.0)
   }
 
+  test("deltaMinForK rejects k below 1, naming k") {
+    val r = res(Array(3.1, 3.2), Array(-1, 0), Array(Double.PositiveInfinity, 0.5))
+    Seq(0, -2).foreach { k =>
+      val e = intercept[IllegalArgumentException](DecisionGraph.deltaMinForK(r, rhoMin = 1.0, k = k, dcut = 1.0))
+      assert(e.getMessage.contains(s"k ($k)"), e.getMessage)
+    }
+  }
+
   test("DPCParams rejects deltaMin <= dcut (Definition 5)") {
     Seq(10.0, 2.5, 0.0).foreach { dm =>
       val e = intercept[IllegalArgumentException](DPCParams(dcut = 10.0, deltaMin = dm))

@@ -89,7 +89,7 @@ class ParSpec extends SparkSpec {
 
   test("mapIndexed runs each round-robin group in its own task") {
     val n      = 1000
-    val parts  = spark.sparkContext.defaultParallelism * 4
+    val parts  = spark.sparkContext.defaultParallelism * Par.Oversub
     val inTask = taskOfGroup // a local copy, so the closure does not capture the suite
     val seen   = Par.mapIndexed(spark, n)(g => Iterator.single(inTask(g)))
     assertOneTaskPerGroup(seen, (0 until parts).map(g => g until n by parts))
@@ -141,12 +141,11 @@ class ParSpec extends SparkSpec {
     val cores = spark.sparkContext.defaultParallelism
     val below = Par.sized(spark, 100, Par.FanOutWork - 1)
     assert(below.map(_.toSeq).toSeq === Seq(0 until 100))
-    assert(Par.onDriver(below))
     assert(TestUtil.sparkWork(spark)(Par.mapGroups(spark, below)(_.sum)) === ((0, 0, 0L)))
+    // Round-robin, one group per core: group g holds g, g + p, g + 2p, ...
     val above = Par.sized(spark, 100, Par.FanOutWork)
-    assert(above.map(_.toSeq).toSeq === Par.indexed(spark, 100, oversub = 1).map(_.toSeq).toSeq)
-    assert(above.length === math.min(100, cores))
-    assert(Par.onDriver(above) === (cores == 1))
+    val p     = math.min(100, cores)
+    assert(above.map(_.toSeq).toSeq === (0 until p).map(g => g until 100 by p))
     assert(Par.sized(spark, 2, 1e12).length === math.min(2, cores))
     assert(Par.sized(spark, 0, 0.0).isEmpty && Par.sized(spark, 0, 1e12).isEmpty)
   }

@@ -146,20 +146,4 @@ class MaxRhoKdTreeSpec extends AnyFunSuite {
     val whole = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
     assert(whole.denserNearest(pts.point(0), -1.0, whole.densities(rho, Array.empty)) === ((-1, Double.PositiveInfinity)))
   }
-
-  test("slots and coords give back each indexed point's own coordinates, and -1 for the others") {
-    val pts = TestUtil.uniformPts(500, 3, 100.0, seed = 324)
-    val ids = Array.range(0, pts.n).filter(_ % 3 != 1)
-    val t   = MaxRhoKdTree.build(pts, ids)
-    val s   = t.slots(pts.n)
-    val q   = new Array[Double](pts.d)
-    (0 until pts.n).foreach { i =>
-      if (i % 3 == 1) assert(s(i) === -1, s"point $i")
-      else {
-        t.coords(s(i), q)
-        assert(q.toSeq === pts.point(i).toSeq, s"point $i")
-      }
-    }
-    assert(s.filter(_ >= 0).sorted.toSeq === ids.indices)
-  }
 }
