@@ -31,7 +31,6 @@ object CFSFDPA extends DPCAlgorithm {
     val dcut2 = dcut * dcut
     val k     = math.min(n, math.max(2, math.ceil(math.sqrt(n.toDouble)).toInt))
 
-    val shPts = run.share(pts)
     val rho = run.rho {
       val km = KMeans.fit(pts, k, iters = 5)
 
@@ -56,28 +55,21 @@ object CFSFDPA extends DPCAlgorithm {
         sortedDists(m) = byDist.map(j => pivDist(j * k + m))
         m += 1
       }
-      val shPD = run.share(pivDist)
-      val shSM = run.share(sortedMembers)
-      val shSD = run.share(sortedDists)
       Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-        val p  = shPts.value
-        val pd = shPD.value
-        val sm = shSM.value
-        val sd = shSD.value
         qi => {
           var cnt = 0
           var mm = 0
-          while (mm < sm.length) {
-            val dPiv = pd(qi * sm.length + mm)
-            val ds   = sd(mm)
-            val ms   = sm(mm)
+          while (mm < k) {
+            val dPiv = pivDist(qi * k + mm)
+            val ds   = sortedDists(mm)
+            val ms   = sortedMembers(mm)
             // members with pivot distance in (dPiv - dcut, dPiv + dcut)
             var lo = java.util.Arrays.binarySearch(ds, dPiv - dcut)
             if (lo < 0) lo = -lo - 1
             var z = lo
             while (z < ds.length && ds(z) < dPiv + dcut) {
               val j = ms(z)
-              if (j != qi && p.dist2(qi, j) < dcut2) cnt += 1
+              if (j != qi && pts.dist2(qi, j) < dcut2) cnt += 1
               z += 1
             }
             mm += 1
@@ -87,7 +79,7 @@ object CFSFDPA extends DPCAlgorithm {
       }
     }
 
-    val (depId, delta) = run.delta(ScanDependents.compute(run, pts, rho))
+    val (depId, delta) = run.delta(ScanDependents.compute(spark, pts, rho))
     val mem = 8L * n * k +                       // pivot-distance matrix
       (8L + 4L) * n +                            // sorted lists (dist + id per point)
       8L * k * pts.d                             // centroids

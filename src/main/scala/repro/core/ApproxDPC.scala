@@ -10,9 +10,8 @@ import org.apache.spark.sql.SparkSession
   * member depends on its cell's `p*` at distance `dcut`; a `p*` depends on
   * `p*(c')` of a neighbour cell whose minimum density exceeds its own, also
   * at `dcut`. Undecided points (the "stem" of the cluster trees) get their
-  * *exact* dependent point via [[ExactDependents]] on the pass's tree, in the
-  * pass's [[Run]] — which is what makes Theorem 4 (identical cluster centers
-  * to Ex-DPC) hold.
+  * *exact* dependent point via [[ExactDependents]] on the pass's tree — which
+  * is what makes Theorem 4 (identical cluster centers to Ex-DPC) hold.
   */
 object ApproxDPC extends DPCAlgorithm {
   override val name = "Approx-DPC"
@@ -20,7 +19,7 @@ object ApproxDPC extends DPCAlgorithm {
   override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = Run(spark) { run =>
     val dcut = params.dcut
     val pass = CellPass.run(run, pts, dcut / math.sqrt(pts.d.toDouble), dcut, firstOnly = false, dcut, dcut)
-    run.delta(pass.settle(ExactDependents.search(run, pass.tree, pts, pass.rho, Array.range(0, pts.n), pass.undecided)))
+    run.delta(pass.settle(ExactDependents.search(spark, pass.tree, pts, pass.rho, Array.range(0, pts.n), pass.undecided)))
     new DPCResult(pass.rho, pass.depId, pass.delta, run.times, pass.memBytes)
   }
 }

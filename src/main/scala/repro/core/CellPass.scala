@@ -45,8 +45,8 @@ object CellPass {
 
   /** What the pass leaves its caller.
     *
-    * @param tree      the static tree over all points, which the pass shared
-    *                  in the caller's run
+    * @param tree      the static tree over all points, which the caller's
+    *                  exact dependent search may search again
     * @param rho       per point its exact density, or NaN if it got none
     * @param pstar     per cell, `p*(c)`
     * @param depId     approximate dependents; -1 for the undecided
@@ -76,8 +76,7 @@ object CellPass {
   /** Runs the pass over `pts` on the grid of side `side` in `run`: the tree,
     * the grid and the density job are timed as `run`'s rho phase, the
     * approximate dependents as its delta phase. With `firstOnly`, only the
-    * first member of each cell gets a density; otherwise all of them do. The
-    * points, the tree and the grid are shared in `run`.
+    * first member of each cell gets a density; otherwise all of them do.
     */
   def run(
       run: Run, pts: Pts, side: Double, dcut: Double, firstOnly: Boolean,
@@ -86,11 +85,8 @@ object CellPass {
     val (tree, grid, rho, pstar, minRho, nbrOff, nbrs) = run.rho {
       val tree   = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
       val grid   = new Grid(pts, side)
-      val shPts  = run.share(pts)
-      val shTree = run.share(tree)
-      val shGrid = run.share(grid)
       val groups = Par.lpt(Array.tabulate(grid.nCells)(grid.size(_).toDouble), run.spark.sparkContext.defaultParallelism)
-      val blocks = Par.mapGroups(run.spark, groups)(densities(shPts.value, shTree.value, shGrid.value, dcut, firstOnly, _))
+      val blocks = Par.mapGroups(run.spark, groups)(densities(pts, tree, grid, dcut, firstOnly, _))
 
       val rho    = Array.fill(pts.n)(Double.NaN)
       val pstar  = new Array[Int](grid.nCells)

@@ -11,9 +11,9 @@ package repro.core
   * (negating a difference leaves its square unchanged, and a square is never
   * -0.0), and every later column adds its square in coordinate order.
   *
-  * A task builds its own `Columns` in its kernel factory, from the points it
-  * reads as a [[Run]] share, which is the driver's own `Pts`; the column copy
-  * is the task's. The buffers are the caller's: one per task, of any positive length;
+  * A task builds its own `Columns` in its kernel factory, from the driver's
+  * own `Pts`, which the kernel captures; the column copy is the task's. The
+  * buffers are the caller's: one per task, of any positive length;
   * [[count]] and [[nearest]] work through a range in chunks of that length,
   * and each finishes the distances in its last column's pass, comparing each
   * one as it is summed, so no separate pass reads the finished distances.

@@ -43,29 +43,19 @@ object Dependents {
 object ScanDependents {
 
   /** Returns `(depId, delta)`; the top-density point gets `(-1, +inf)`. */
-  def compute(spark: SparkSession, pts: Pts, rho: Array[Double]): (Array[Int], Array[Double]) =
-    Run(spark)(compute(_, pts, rho))
-
-  /** [[compute]] in `run`: the points and their density order are shared in
-    * `run`, so a caller whose density phase shared the same points adds only
-    * the order.
-    */
-  def compute(run: Run, pts: Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
-    val n       = rho.length
-    val order   = Order.descending(rho)
-    val shPts   = run.share(pts)
-    val shOrder = run.share(order)
+  def compute(spark: SparkSession, pts: Pts, rho: Array[Double]): (Array[Int], Array[Double]) = {
+    val n     = rho.length
+    val order = Order.descending(rho)
     // The query at position r scans the r points before it: LPT-balance by r.
-    val groups = Par.lpt(Array.tabulate(n)(r => math.max(1.0, r.toDouble)), run.spark.sparkContext.defaultParallelism)
-    val (dep, delta) = Dependents.search(run.spark, pts, order, groups) { () =>
-      val od  = shOrder.value
-      val c   = new Columns(shPts.value, od)
+    val groups = Par.lpt(Array.tabulate(n)(r => math.max(1.0, r.toDouble)), spark.sparkContext.defaultParallelism)
+    val (dep, delta) = Dependents.search(spark, pts, order, groups) { () =>
+      val c   = new Columns(pts, order)
       val q   = new Array[Double](c.d)
       val acc = new Array[Double](Columns.Chunk)
       r => {
         c.row(r, q)
         val s = c.nearest(q, 0, r, acc)
-        if (s < 0) -1 else od(s)
+        if (s < 0) -1 else order(s)
       }
     }
     // From descending-density positions back to point ids.
@@ -109,7 +99,7 @@ object ExactDependents {
     * with no higher-density universe point get `(-1, +inf)`. `delta` is
     * bit-identical to `pts.dist(query, depId)`; among equidistant candidates
     * the smallest id is chosen. Builds a tree over the universe and runs
-    * [[search]] in a run of its own.
+    * [[search]] on it.
     */
   def compute(
       spark: SparkSession,
@@ -120,43 +110,32 @@ object ExactDependents {
   ): Array[(Int, Int, Double)] = {
     if (universe.isEmpty || queries.isEmpty)
       return queries.map(q => (q, -1, Double.PositiveInfinity))
-    val (dep, delta) = Run(spark)(search(_, MaxRhoKdTree.build(pts, universe), pts, rho, universe, queries))
+    val (dep, delta) = search(spark, MaxRhoKdTree.build(pts, universe), pts, rho, universe, queries)
     Array.tabulate(queries.length)(k => (queries(k), dep(k), delta(k)))
   }
 
-  /** [[compute]] in `run` over `tree`, which indexes at least the universe,
-    * such as the one a density phase searched. Returns `(depId, delta)` of
-    * each query, in the order of `queries`. The tree, its densities, the
-    * points, `rho` and the queries are shared in `run`; an object the run
-    * already shared, such as a grid pass's tree and points, keeps its share.
+  /** [[compute]] over `tree`, which indexes at least the universe, such as
+    * the one a density phase searched. Returns `(depId, delta)` of each query,
+    * in the order of `queries`.
     */
   def search(
-      run: Run,
+      spark: SparkSession,
       tree: MaxRhoKdTree,
       pts: Pts,
       rho: Array[Double],
       universe: Array[Int],
       queries: Array[Int]
   ): (Array[Int], Array[Double]) = {
-    val shTree  = run.share(tree)
-    val shDens  = run.share(tree.densities(rho, universe))
-    val shPts   = run.share(pts)
-    val shRho   = run.share(rho)
-    val shQuery = run.share(queries)
-    val groups  = Par.sized(run.spark, queries.length, queries.length * queryWork(universe.length, pts.d))
+    val dens   = tree.densities(rho, universe)
+    val groups = Par.sized(spark, queries.length, queries.length * queryWork(universe.length, pts.d))
     // The dependent id of the query at a position: the smallest id among the
     // nearest points denser than it.
-    Dependents.search(run.spark, pts, queries, groups) { () =>
-      val t    = shTree.value
-      val dens = shDens.value
-      val p    = shPts.value
-      val rh   = shRho.value
-      val qs   = shQuery.value
-      val q    = new Array[Double](p.d)
+    Dependents.search(spark, pts, queries, groups) { () =>
+      val q = new Array[Double](pts.d)
       k => {
-        val i = qs(k)
-        System.arraycopy(p.data, i * p.d, q, 0, p.d)
-        t.denserNearest(q, rh(i), dens)._1
+        val i = queries(k)
+        System.arraycopy(pts.data, i * pts.d, q, 0, pts.d)
+        tree.denserNearest(q, rho(i), dens)._1
       }
     }
   }

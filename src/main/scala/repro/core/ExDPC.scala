@@ -8,7 +8,7 @@ import repro.kdtree.{KdTree, MaxRhoKdTree}
   * Densities: one range count per point on a static [[MaxRhoKdTree]] through
   * [[Density]], parallelized across Spark tasks with dynamic oversubscription
   * (the paper's `omp parallel for schedule(dynamic)`); the tasks read the
-  * points and the tree as the run's shares.
+  * driver's points and tree in place.
   *
   * Dependent points (the delta phase: the density-order sort and this loop):
   * the kd-tree is destroyed and rebuilt *incrementally* in descending density
@@ -25,16 +25,12 @@ object ExDPC extends DPCAlgorithm {
     val d    = pts.d
     val dcut = params.dcut
 
-    val tree   = run.rho(MaxRhoKdTree.build(pts, Array.range(0, n)))
-    val shPts  = run.share(pts)
-    val shTree = run.share(tree)
+    val tree = run.rho(MaxRhoKdTree.build(pts, Array.range(0, n)))
     val rho = run.rho(Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-      val p = shPts.value
-      val t = shTree.value
       val q = new Array[Double](d)
       i => {
-        System.arraycopy(p.data, i * d, q, 0, d)
-        t.rangeCount(q, dcut) - 1 // exclude the point itself
+        System.arraycopy(pts.data, i * d, q, 0, d)
+        tree.rangeCount(q, dcut) - 1 // exclude the point itself
       }
     })
 

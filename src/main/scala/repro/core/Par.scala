@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 import scala.reflect.ClassTag
@@ -96,11 +98,38 @@ object Par {
   /** Runs `f` once on each group, each group in its own Spark task of one
     * RDD stage with no shuffle, and returns the results in group order. A
     * single group runs as `f` on the driver, with no Spark job.
+    *
+    * `f` is never serialized: a fan-out puts `g => f(groups(g))` in
+    * [[registry]] under a fresh key for the length of its job, and each task
+    * carries only that key and its group's index. So `f` reads what it
+    * captures (points, trees, grids, densities) as the driver's own objects,
+    * shared by every task of the job: captures are read-only, and per-task
+    * scratch is made inside `f`. This needs every task in the driver's JVM,
+    * so a fan-out refuses a master that is not local (see [[isLocal]]).
     */
   def mapGroups[T: ClassTag](spark: SparkSession, groups: Array[Array[Int]])(f: Array[Int] => T): Array[T] =
     if (groups.isEmpty) Array.empty[T]
     else if (groups.length == 1) Array(f(groups(0)))
-    else spark.sparkContext.parallelize(groups.toSeq, groups.length).map(f).collect()
+    else {
+      val sc = spark.sparkContext
+      require(isLocal(sc.master), s"a fan-out's tasks read the driver's objects, so its master must be local or local[...], not ${sc.master}")
+      val key = keys.getAndIncrement()
+      registry.put(key, (g: Int) => f(groups(g)))
+      try sc.parallelize(0 until groups.length, groups.length).map(g => registry.get(key)(g).asInstanceOf[T]).collect()
+      finally registry.remove(key)
+    }
+
+  /** The function of every running fan-out in this JVM, by key, and the next
+    * key. Tasks under a local master run in the driver's JVM and read it there.
+    */
+  private[repro] val registry = new ConcurrentHashMap[Long, Int => Any]
+  private[repro] val keys     = new AtomicLong
+
+  /** Whether a master runs every task in the driver's JVM: `local` or
+    * `local[...]`.
+    */
+  def isLocal(master: String): Boolean =
+    master == "local" || (master.startsWith("local[") && master.endsWith("]"))
 
   /** [[mapGroups]] over the [[indexed]] groups, with each group's results
     * flattened in group order.
@@ -111,8 +140,9 @@ object Par {
   /** `kernel`'s result for every item of `groups` (which together hold
     * `0 until n` once), placed by item index: each group runs in its own task,
     * as [[mapGroups]] does, where `kernel()` makes the per-item function once.
-    * The factory should read only [[Run]] shares, so that the task stays small.
-    * Specialized, so `Int` and `Double` results are not boxed.
+    * The kernel reads its captures in place, as [[mapGroups]]' `f` does; what
+    * one task writes (query buffers, stamps, column copies) it makes in the
+    * factory. Specialized, so `Int` and `Double` results are not boxed.
     */
   def mapItems[@specialized(Int, Double) T: ClassTag](spark: SparkSession, n: Int, groups: Array[Array[Int]])(
       kernel: () => Int => T

@@ -9,9 +9,9 @@ import scala.collection.mutable
   *
   * This is the in-memory representation every DPC algorithm operates on. Points
   * are addressed by their index `0 until n`; the original DataFrame ids are kept
-  * in [[ids]] so results can be joined back. Spark tasks read it as a [[Run]]
-  * share, which is the driver's own object, shared by reference across task
-  * threads — true shared memory, matching the paper's multicore model.
+  * in [[ids]] so results can be joined back. A kernel of [[Par.mapGroups]]
+  * captures it, and every task of the fan-out reads the driver's own object by
+  * reference — true shared memory, matching the paper's multicore model.
   */
 final class Pts(val n: Int, val d: Int, val data: Array[Double], val ids: Array[Long])
     extends Serializable {
@@ -65,15 +65,20 @@ object Pts {
     * One Spark job over the frame's own plan packs each partition into a
     * [[Block]] of primitive arrays; the driver orders the rows by id with a
     * radix argsort. Other columns are ignored. Rejects, with an
-    * `IllegalArgumentException`, a frame with no coordinate columns, an `id`
+    * `IllegalArgumentException`, a frame with no coordinate columns, columns
+    * named `x` and digits that are not exactly `x0 .. x{d-1}`, an `id`
     * that is not `bigint` or a coordinate that is not `double`, no rows, a
     * null id or coordinate, a NaN or infinite coordinate, and a duplicate id.
     */
   def fromDF(df: DataFrame): Pts = {
     val schema = df.schema
-    val xCols  = schema.fieldNames.filter(_.matches("x\\d+")).sortBy(_.drop(1).toInt)
-    val d      = xCols.length
+    val xNames = schema.fieldNames.filter(_.matches("x\\d+"))
+    val d      = xNames.length
     require(d > 0, s"no coordinate columns x0.. in ${schema.fieldNames.mkString(",")}")
+    // d names that hold each of x0 .. x{d-1} are exactly those columns, once each.
+    val xCols = Array.tabulate(d)(j => s"x$j")
+    require(xCols.forall(xNames.contains),
+      s"coordinate columns ${xNames.mkString(",")} are not x0 .. x${d - 1}")
     def column(name: String, dt: DataType): Int = {
       val c = schema.fieldIndex(name)
       require(schema(c).dataType == dt,

@@ -14,15 +14,13 @@ object RTreeScanDPC extends DPCAlgorithm {
     val n    = pts.n
     val dcut = params.dcut
 
-    val tree   = run.rho(new RTree(pts).buildAll())
-    val shTree = run.share(tree)
+    val tree = run.rho(new RTree(pts).buildAll())
     val rho = run.rho(Density.rho(spark, n, Par.indexed(spark, n)) { () =>
-      val t = shTree.value
       // rangeCount includes the query point itself (distance 0): subtract it.
-      i => t.rangeCount(t.pts.point(i), dcut) - 1
+      i => tree.rangeCount(pts.point(i), dcut) - 1
     })
 
-    val (depId, delta) = run.delta(ScanDependents.compute(run, pts, rho))
+    val (depId, delta) = run.delta(ScanDependents.compute(spark, pts, rho))
     new DPCResult(rho, depId, delta, run.times, tree.memBytes)
   }
 }

@@ -18,7 +18,7 @@ import scala.collection.mutable
   * inequality in phase 2. If `|P'_pick|^2` exceeds O(n), the paper's fallback
   * — Approx-DPC's exact dependent search over the picked set — kicks in. It
   * searches the pass's [[repro.kdtree.MaxRhoKdTree]], with densities attached
-  * for the picked points only, through the pass's share in the same [[Run]].
+  * for the picked points only.
   */
 object SApproxDPC extends DPCAlgorithm {
   override val name = "S-Approx-DPC"
@@ -33,7 +33,7 @@ object SApproxDPC extends DPCAlgorithm {
     run.delta {
       if (pPrime.length.toLong * pPrime.length > 4L * pts.n)
         // Fallback of §5: Approx-DPC's exact dependent search over the picked set.
-        pass.settle(ExactDependents.search(run, pass.tree, pts, pass.rho, picked, pPrime))
+        pass.settle(ExactDependents.search(spark, pass.tree, pts, pass.rho, picked, pPrime))
       else if (pPrime.nonEmpty) temporalClusters(pts, pass.rho, picked, pPrime, pass.depId, pass.delta)
     }
     new DPCResult(pass.rho, pass.depId, pass.delta, run.times, pass.memBytes + 8L * picked.length)

@@ -14,10 +14,9 @@ object ScanDPC extends DPCAlgorithm {
     val n     = pts.n
     val dcut2 = params.dcut * params.dcut
 
-    val shPts = run.share(pts)
     val rho = run.rho(Density.rho(spark, n, Par.indexed(spark, n)) { () =>
       // Rows in id order; point i is left out by its row.
-      val c   = new Columns(shPts.value, Array.range(0, n))
+      val c   = new Columns(pts, Array.range(0, n))
       val q   = new Array[Double](c.d)
       val acc = new Array[Double](Columns.Chunk)
       i => {
@@ -26,7 +25,7 @@ object ScanDPC extends DPCAlgorithm {
       }
     })
 
-    val (depId, delta) = run.delta(ScanDependents.compute(run, pts, rho))
+    val (depId, delta) = run.delta(ScanDependents.compute(spark, pts, rho))
     new DPCResult(rho, depId, delta, run.times, memBytes = 0L)
   }
 }

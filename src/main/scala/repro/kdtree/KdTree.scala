@@ -21,8 +21,8 @@ import repro.core.Pts
   * tree (e.g. a chain of duplicates) costs time, not call depth. They visit
   * nodes in the order a recursive search (near child first) would.
   *
-  * Searches are re-entrant (state lives in the call frame), so Spark tasks
-  * can query a single tree concurrently.
+  * Searches keep their state in the call frame. Only the driver's sequential
+  * Ex-DPC loop searches the tree, between its inserts.
   */
 final class KdTree(val pts: Pts) extends Serializable {
 

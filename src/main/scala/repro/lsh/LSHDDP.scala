@@ -35,17 +35,13 @@ object LSHDDP extends DPCAlgorithm {
     val lsh   = new PStableLSH(pts.d, m, params.lshLen, params.lshWidthFactor * params.dcut, seed = 7L)
 
     // Table t's buckets are the cells of side w of P's projection.
-    val grids   = run.rho(Array.tabulate(m)(t => new Grid(lsh.project(t, pts), lsh.w)))
-    val shPts   = run.share(pts)
-    val shGrids = run.share(grids)
-    val groups  = Par.ranges(n, spark.sparkContext.defaultParallelism)
+    val grids  = run.rho(Array.tabulate(m)(t => new Grid(lsh.project(t, pts), lsh.w)))
+    val groups = Par.ranges(n, spark.sparkContext.defaultParallelism)
 
     // seen(j) == i: j was visited for point i. A task sees each i once, so
     // the stamps need no reset.
     val rho = run.rho(Density.rho(spark, n, groups) { () =>
-      val p     = shPts.value
-      val grids = shGrids.value
-      val seen  = Array.fill(p.n)(-1)
+      val seen = Array.fill(n)(-1)
       i => {
         seen(i) = i
         var cnt = 0
@@ -57,7 +53,7 @@ object LSHDDP extends DPCAlgorithm {
           var z   = g.start(c)
           while (z < end) {
             val j = g.members(z)
-            if (seen(j) != i) { seen(j) = i; if (p.dist2(i, j) < dcut2) cnt += 1 }
+            if (seen(j) != i) { seen(j) = i; if (pts.dist2(i, j) < dcut2) cnt += 1 }
             z += 1
           }
           t += 1
@@ -68,52 +64,46 @@ object LSHDDP extends DPCAlgorithm {
 
     // Dependent: nearest denser bucket mate, the smallest id among equally
     // near ones, else exact full scan.
-    val (depId, delta) = run.delta {
-      val shRho = run.share(rho)
-      Dependents.search(spark, pts, Array.range(0, n), groups) { () =>
-        val p     = shPts.value
-        val grids = shGrids.value
-        val rh    = shRho.value
-        val seen  = Array.fill(p.n)(-1)
-        i => {
-          seen(i) = i
-          val ri     = rh(i)
-          var bestId = -1
-          var bestD2 = Double.PositiveInfinity
-          var t = 0
-          while (t < grids.length) {
-            val g   = grids(t)
-            val c   = g.cellOf(i)
-            val end = g.start(c + 1)
-            var z   = g.start(c)
-            while (z < end) {
-              val j = g.members(z)
-              if (seen(j) != i) {
-                seen(j) = i
-                if (rh(j) > ri) {
-                  val d2 = p.dist2(i, j)
-                  if (d2 < bestD2 || (d2 == bestD2 && j < bestId)) { bestD2 = d2; bestId = j }
-                }
+    val (depId, delta) = run.delta(Dependents.search(spark, pts, Array.range(0, n), groups) { () =>
+      val seen = Array.fill(n)(-1)
+      i => {
+        seen(i) = i
+        val ri     = rho(i)
+        var bestId = -1
+        var bestD2 = Double.PositiveInfinity
+        var t = 0
+        while (t < grids.length) {
+          val g   = grids(t)
+          val c   = g.cellOf(i)
+          val end = g.start(c + 1)
+          var z   = g.start(c)
+          while (z < end) {
+            val j = g.members(z)
+            if (seen(j) != i) {
+              seen(j) = i
+              if (rho(j) > ri) {
+                val d2 = pts.dist2(i, j)
+                if (d2 < bestD2 || (d2 == bestD2 && j < bestId)) { bestD2 = d2; bestId = j }
               }
-              z += 1
             }
-            t += 1
+            z += 1
           }
-          if (bestId < 0) {
-            // fallback: exact scan of the whole P, the first strict minimum
-            var j = 0
-            while (j < p.n) {
-              if (rh(j) > ri) {
-                val d2 = p.dist2(i, j)
-                if (d2 < bestD2) { bestD2 = d2; bestId = j }
-              }
-              j += 1
-            }
-          }
-          bestId
+          t += 1
         }
+        if (bestId < 0) {
+          // fallback: exact scan of the whole P, the first strict minimum
+          var j = 0
+          while (j < n) {
+            if (rho(j) > ri) {
+              val d2 = pts.dist2(i, j)
+              if (d2 < bestD2) { bestD2 = d2; bestId = j }
+            }
+            j += 1
+          }
+        }
+        bestId
       }
-    }
+    })
 
     // Per table: bucket ids, and a member array (16-byte header) per bucket.
     val mem = lsh.paramBytes + 8L * m * n + grids.iterator.map(g => 16L * g.nCells + 4L * n).sum

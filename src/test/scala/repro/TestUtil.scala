@@ -2,7 +2,7 @@ package repro
 
 import org.apache.spark.scheduler._
 import org.apache.spark.sql.SparkSession
-import repro.core.{Jitter, Pts, Run}
+import repro.core.{Jitter, Par, Pts}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -136,21 +136,23 @@ object TestUtil {
     after.id - before.id - 1
   }
 
-  /** Number of [[Run]] shares `body` makes: keys are handed out in order. */
+  /** Number of [[Par]] registry entries `body` makes, one per fan-out: keys
+    * are handed out in order.
+    */
   def sharesIn(body: => Unit): Long = {
-    val before = Run.keys.get
+    val before = Par.keys.get
     body
-    Run.keys.get - before
+    Par.keys.get - before
   }
 
-  /** Runs `body` and checks that every [[Run]] share made meanwhile has left
-    * the registry. Returns the number of stages `body` ran.
+  /** Runs `body` and checks that every [[Par]] registry entry made meanwhile
+    * has left the registry. Returns the number of stages `body` ran.
     */
   def assertReleases(spark: SparkSession)(body: => Unit): Int = {
-    val before = Run.keys.get
+    val before = Par.keys.get
     val (_, stages, _) = sparkWork(spark)(body)
-    val live = (before until Run.keys.get).filter(k => Run.registry.containsKey(k))
-    assert(live.isEmpty, s"shares ${live.mkString(", ")} outlived their run")
+    val live = (before until Par.keys.get).filter(k => Par.registry.containsKey(k))
+    assert(live.isEmpty, s"registry entries ${live.mkString(", ")} outlived their fan-out")
     stages
   }
 

@@ -9,13 +9,7 @@ class DensitySpec extends SparkSpec {
 
   private def rho(pts: Pts, dcut: Double, groups: Array[Array[Int]]): Array[Double] = {
     val dcut2 = dcut * dcut
-    Run(spark) { run =>
-      val shPts = run.share(pts)
-      Density.rho(spark, pts.n, groups) { () =>
-        val p = shPts.value
-        i => (0 until p.n).count(j => j != i && p.dist2(i, j) < dcut2)
-      }
-    }
+    Density.rho(spark, pts.n, groups)(() => i => (0 until pts.n).count(j => j != i && pts.dist2(i, j) < dcut2))
   }
 
   private def check(pts: Pts, dcut: Double, groups: Array[Array[Int]]): Unit =

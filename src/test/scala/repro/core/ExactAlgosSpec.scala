@@ -73,40 +73,33 @@ class ExactAlgosSpec extends SparkSpec {
     }
   }
 
-  // A run makes no broadcast besides one task binary per Spark stage, and
-  // shares each object once. Scan's dependent phase reads the point set its
-  // density phase shared and adds the density order; R-tree + Scan adds its
-  // tree, CFSFDP-A its three pivot structures. LSH-DDP adds its M tables, as
-  // one array of grids, and its densities; Ex-DPC its tree. Approx-DPC and
-  // S-Approx-DPC add the tree and the grid of their grid pass; Approx-DPC's
-  // exact search adds the densities on the tree, `rho` and its queries. On
-  // this input S-Approx-DPC takes no fallback.
-  for ((algo, others) <- Seq[(DPCAlgorithm, Int)]((ScanDPC, 1), (RTreeScanDPC, 2), (CFSFDPA, 4), (LSHDDP, 2), (ExDPC, 1),
-      (ApproxDPC, 5), (SApproxDPC, 2))) {
-    test(s"${algo.name} broadcasts the point set once per run") {
+  // Each Spark job of a run is one fan-out, which makes one registry entry,
+  // and a run broadcasts nothing but one task binary per Spark stage.
+  for (algo <- Seq[DPCAlgorithm](ScanDPC, RTreeScanDPC, CFSFDPA, LSHDDP, ExDPC, ApproxDPC, SApproxDPC)) {
+    test(s"${algo.name}: one registry entry per Spark job, one broadcast per stage") {
       val pts = TestUtil.clusteredPts(2000, 2, k = 3, sigma = 30.0, domain = 1000.0, seed = 512)
-      var bcasts = 0L
-      var shares = 0L
-      val (_, stages, _) = TestUtil.sparkWork(spark) {
+      var bcasts  = 0L
+      var entries = 0L
+      val (jobs, stages, _) = TestUtil.sparkWork(spark) {
         bcasts = TestUtil.broadcastsIn(spark) {
-          shares = TestUtil.sharesIn(algo.run(spark, pts, DPCParams(dcut = 40.0)))
+          entries = TestUtil.sharesIn(algo.run(spark, pts, DPCParams(dcut = 40.0)))
         }
       }
+      assert(entries === jobs)
       assert(bcasts === stages)
-      assert(shares === 1 + others)
     }
   }
 
-  test("ScanDependents releases its shares when a task fails") {
+  test("ScanDependents leaves no registry entry when a task fails") {
     // rho names 1000 points but there are 10, so every task fails to copy
     // the rows of its Columns.
     val pts = TestUtil.uniformPts(10, 2, 100.0, seed = 513)
     val rho = Array.tabulate(1000)(i => (i % 13) + Jitter.frac(i))
-    var shares = 0L
+    var entries = 0L
     val stages = TestUtil.assertReleases(spark) {
-      shares = TestUtil.sharesIn(intercept[SparkException](ScanDependents.compute(spark, pts, rho)))
+      entries = TestUtil.sharesIn(intercept[SparkException](ScanDependents.compute(spark, pts, rho)))
     }
-    assert(stages >= 1 && shares === 2)
+    assert(stages >= 1 && entries === 1)
   }
 
   test("exact algorithms agree with each other end to end (labels)") {
@@ -163,7 +156,8 @@ class ExactAlgosSpec extends SparkSpec {
     assert(r.delta.count(_ == 0.0) === n - 1)
   }
 
-  // Every algorithm times its phases and releases its shares through one Run.
+  // Every algorithm times its phases through one Run, and no fan-out of it
+  // leaves a registry entry behind.
   for (algo <- Seq[DPCAlgorithm](ScanDPC, RTreeScanDPC, CFSFDPA, LSHDDP, ExDPC, ApproxDPC, SApproxDPC))
     test(s"${algo.name} reports non-negative phase times and releases its shares") {
       val pts = TestUtil.uniformPts(500, 2, 100.0, seed = 511)

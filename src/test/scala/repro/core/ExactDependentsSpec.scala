@@ -54,8 +54,7 @@ class ExactDependentsSpec extends SparkSpec {
     (pts, rho, all, small, Array.tabulate(big)(k => (k.toLong * pts.n / big).toInt))
   }
 
-  // The search shares five objects: the tree, its densities, the points,
-  // rho and the queries.
+  // Only a fan-out makes a registry entry, one per job.
   test("a small query set runs on the driver: no Spark job and no broadcast") {
     val (pts, rho, all, small, _) = dup3
     assert(small.length * ExactDependents.queryWork(pts.n, pts.d) < Par.FanOutWork)
@@ -64,8 +63,8 @@ class ExactDependentsSpec extends SparkSpec {
     val tree = MaxRhoKdTree.build(pts, all)
     assert(TestUtil.sparkWork(spark) {
       assert(TestUtil.broadcastsIn(spark) {
-        assert(TestUtil.sharesIn { out = ExactDependents.compute(spark, pts, rho, all, small) } === 5)
-        assert(TestUtil.sharesIn { dep = Run(spark)(ExactDependents.search(_, tree, pts, rho, all, small)._1) } === 5)
+        assert(TestUtil.sharesIn { out = ExactDependents.compute(spark, pts, rho, all, small) } === 0)
+        assert(TestUtil.sharesIn { dep = ExactDependents.search(spark, tree, pts, rho, all, small)._1 } === 0)
       } === 0)
     } === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
     assert(out.map(_._2).toSeq === dep.toSeq)
@@ -80,22 +79,18 @@ class ExactDependentsSpec extends SparkSpec {
     val expected = if (fansOut) (1, 1, 0L) else (0, 0, 0L)
     val tree = MaxRhoKdTree.build(pts, all)
     assert(TestUtil.sparkWork(spark)(ExactDependents.compute(spark, pts, rho, all, big)) === expected)
-    Run(spark) { run =>
-      // The tree and the points the run already shared, as Approx-DPC's grid
-      // pass does, keep their shares: the search adds the densities, rho and
-      // the queries, and broadcasts nothing but the stage's task binary.
-      run.share(tree)
-      run.share(pts)
-      var bcasts = 0L
-      var shares = 0L
-      assert(TestUtil.sparkWork(spark) {
-        bcasts = TestUtil.broadcastsIn(spark) {
-          shares = TestUtil.sharesIn(ExactDependents.search(run, tree, pts, rho, all, big))
-        }
-      } === expected)
-      assert(bcasts === expected._2)
-      assert(shares === 3)
-    }
+    // The search on a prebuilt tree, as Approx-DPC's makes on its grid pass's
+    // tree, broadcasts nothing but the stage's task binary, and its one job
+    // makes one registry entry.
+    var bcasts  = 0L
+    var entries = 0L
+    assert(TestUtil.sparkWork(spark) {
+      bcasts = TestUtil.broadcastsIn(spark) {
+        entries = TestUtil.sharesIn(ExactDependents.search(spark, tree, pts, rho, all, big))
+      }
+    } === expected)
+    assert(bcasts === expected._2)
+    assert(entries === expected._1)
   }
 
   test("the driver path and the fan-out path match brute force bit for bit, ties to the smallest id") {
@@ -170,7 +165,7 @@ class ExactDependentsSpec extends SparkSpec {
     val rho      = Array.fill(pts.n)(Double.NaN)
     universe.foreach(i => rho(i) = full(i))
     val tree = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
-    val (dep, delta) = Run(spark)(ExactDependents.search(_, tree, pts, rho, universe, universe))
+    val (dep, delta) = ExactDependents.search(spark, tree, pts, rho, universe, universe)
     val out = Array.tabulate(universe.length)(k => (universe(k), dep(k), delta(k)))
     assert(out.toSeq === ExactDependents.compute(spark, pts, rho, universe, universe).toSeq)
     checkAll(pts, rho, universe, universe, out, q => bruteOver(pts, rho, universe, q))
@@ -185,19 +180,17 @@ class ExactDependentsSpec extends SparkSpec {
     // search answers both through its general path; an empty query set
     // starts no Spark job and broadcasts nothing.
     val tree = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
-    Run(spark) { run =>
-      var dep0 = Array(0)
-      assert(TestUtil.sparkWork(spark) {
-        assert(TestUtil.broadcastsIn(spark) {
-          assert(TestUtil.sharesIn {
-            dep0 = ExactDependents.search(run, tree, pts, rho, Array.range(0, pts.n), Array.empty)._1
-          } === 5)
+    var dep0 = Array(0)
+    assert(TestUtil.sparkWork(spark) {
+      assert(TestUtil.broadcastsIn(spark) {
+        assert(TestUtil.sharesIn {
+          dep0 = ExactDependents.search(spark, tree, pts, rho, Array.range(0, pts.n), Array.empty)._1
         } === 0)
-      } === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
-      assert(dep0.isEmpty)
-      val (dep1, delta1) = ExactDependents.search(run, tree, pts, rho, Array.empty, Array(3))
-      assert(dep1.toSeq === Seq(-1) && delta1.toSeq === Seq(Double.PositiveInfinity))
-    }
+      } === 0)
+    } === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
+    assert(dep0.isEmpty)
+    val (dep1, delta1) = ExactDependents.search(spark, tree, pts, rho, Array.empty, Array(3))
+    assert(dep1.toSeq === Seq(-1) && delta1.toSeq === Seq(Double.PositiveInfinity))
   }
 
   test("memBytes models the tree's leaf-order arrays, node arrays and boxes") {

@@ -1,10 +1,17 @@
 package repro.core
 
-import org.apache.spark.TaskContext
+import java.util.concurrent.{CyclicBarrier, TimeUnit}
+import java.util.concurrent.atomic.AtomicLong
+import org.apache.spark.{SparkException, TaskContext}
 import repro.{SparkSpec, TestUtil}
+import scala.concurrent.{blocking, Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration._
 import scala.util.Random
 
-/** LPT scheduling + Spark fan-out semantics. */
+/** LPT scheduling + Spark fan-out semantics, and the registry through which
+  * a fan-out's tasks read the driver's own objects.
+  */
 class ParSpec extends SparkSpec {
 
   test("lpt covers every item exactly once") {
@@ -160,18 +167,18 @@ class ParSpec extends SparkSpec {
   test("mapItems runs the kernel once per item and the factory once per group, placed by item index") {
     val rnd = new Random(73)
     val n   = 1013
-    val sc  = spark.sparkContext
     for (groups <- Seq(Par.lpt(Array.fill(n)(rnd.nextDouble()), 6), Par.indexed(spark, n), Par.ranges(n, 7))) {
-      val factories = sc.longAccumulator
-      val items     = sc.longAccumulator
+      // The tasks update the driver's own counters, concurrently.
+      val factories = new AtomicLong
+      val items     = new AtomicLong
       val ints = Par.mapItems(spark, n, groups) { () =>
-        factories.add(1)
-        i => { items.add(1); 3 * i + 1 }
+        factories.incrementAndGet()
+        i => { items.incrementAndGet(); 3 * i + 1 }
       }
       val doubles = Par.mapItems(spark, n, groups)(() => i => i * 0.5)
       assert(ints.toSeq === (0 until n).map(3 * _ + 1))
       assert(doubles.toSeq === (0 until n).map(_ * 0.5))
-      assert((factories.value, items.value) === ((groups.length.toLong, n.toLong)))
+      assert((factories.get, items.get) === ((groups.length.toLong, n.toLong)))
     }
   }
 
@@ -204,5 +211,74 @@ class ParSpec extends SparkSpec {
       assert(Par.scatter(n, groups, groups.map(_.map(i => keys(i).toDouble))).toSeq === keys.map(_.toDouble).toSeq)
       assert(Par.scatter(n, groups, groups.map(_.map(i => keys(i).toInt))).toSeq === keys.map(_.toInt).toSeq)
     }
+  }
+
+  test("a task writes through a captured array to the driver's own array") {
+    val xs = new Array[Int](1000)
+    var ids = Array.empty[Int]
+    // Each task writes its own items into the captured array, so the writes
+    // do not race: a copy's writes would not reach `xs`.
+    val bcasts = TestUtil.broadcastsIn(spark) {
+      ids = Par.mapGroups(spark, Par.indexed(spark, 1000)) { g =>
+        g.foreach(i => xs(i) = i + 1)
+        System.identityHashCode(xs)
+      }
+    }
+    assert(xs.toSeq === (1 to 1000))
+    assert(ids.distinct.toSeq === Seq(System.identityHashCode(xs)))
+    assert(bcasts === 1, "one task binary and nothing else")
+  }
+
+  test("a fan-out makes one registry entry, and a single group or no group makes none") {
+    val fanOut = Par.lpt(Array.fill(100)(1.0), 2)
+    var live   = Array.empty[Boolean]
+    assert(TestUtil.sharesIn {
+      live = Par.mapGroups(spark, fanOut)(_ => !Par.registry.isEmpty)
+    } === 1)
+    assert(live.forall(identity), "a task ran with no live entry")
+    assert(TestUtil.sharesIn(Par.mapGroups(spark, Array(Array.range(0, 100)))(_.sum)) === 0)
+    assert(TestUtil.sharesIn(Par.mapGroups(spark, Array.empty[Array[Int]])(_.sum)) === 0)
+    assert(TestUtil.sharesIn(Par.mapItems(spark, 100, Par.indexed(spark, 100))(() => i => i)) === 1)
+  }
+
+  test("no registry entry outlives its fan-out, after a normal return or a task throw") {
+    val xs = Array.range(0, 1000)
+    TestUtil.assertReleases(spark) {
+      assert(Par.mapGroups(spark, Par.indexed(spark, 1000))(g => g.map(xs(_)).sum).sum === xs.sum)
+    }
+    TestUtil.assertReleases(spark) {
+      intercept[SparkException](Par.mapGroups(spark, Par.indexed(spark, 1000)) { g =>
+        if (g.contains(500)) throw new IllegalStateException("task")
+        g.map(xs(_)).sum
+      })
+    }
+  }
+
+  test("two fan-outs on two driver threads at once each read only their own captures") {
+    val n = 1000
+    // One task of each fan-out waits for one of the other's, so both
+    // registry entries are live together. With a single core the two jobs
+    // cannot overlap, and the tasks do not wait.
+    val overlap = spark.sparkContext.defaultParallelism >= 2
+    val barrier = new CyclicBarrier(2)
+    TestUtil.assertReleases(spark) {
+      val runs = Seq(1.0, 2.0).map { v =>
+        Future {
+          val xs = Array.fill(n)(v)
+          Par.mapGroups(spark, Par.ranges(n, 2)) { g =>
+            if (overlap && g.head == 0) blocking(barrier.await(60, TimeUnit.SECONDS))
+            g.map(xs(_))
+          }.flatten
+        }
+      }
+      val out = runs.map(Await.result(_, 90.seconds))
+      assert(out.map(_.toSeq) === Seq(Seq.fill(n)(1.0), Seq.fill(n)(2.0)))
+    }
+  }
+
+  test("only a local master runs tasks in the driver's JVM") {
+    Seq("local", "local[4]", "local[*]", "local[2,3]").foreach(m => assert(Par.isLocal(m), m))
+    Seq("local-cluster[2,1,1024]", "spark://h:7077", "yarn", "k8s://h:443", "localhost", "local[4")
+      .foreach(m => assert(!Par.isLocal(m), m))
   }
 }

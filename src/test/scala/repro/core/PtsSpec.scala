@@ -47,6 +47,14 @@ class PtsSpec extends SparkSpec {
     intercept[IllegalArgumentException](Pts.fromDF(df))
   }
 
+  test("fromDF rejects coordinate columns that are not x0 .. x{d-1}, naming them") {
+    for (xs <- Seq(Seq("x0", "x2"), Seq("x1", "x2"), Seq("x0", "x1", "x01"), Seq("x0", "x99999999999"))) {
+      val schema = StructType(StructField("id", LongType, nullable = false) +: xs.map(StructField(_, DoubleType)))
+      val rows   = Seq(Row.fromSeq(1L +: xs.map(_ => 0.5)), Row.fromSeq(2L +: xs.map(_ => 1.5)))
+      rejectsFrame(spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), schema), xs.mkString(","))
+    }
+  }
+
   /** Pts.fromDF on rows `(id, x0, x1)` with nullable coordinates must throw
     * an IllegalArgumentException whose message contains `fragment`.
     */
