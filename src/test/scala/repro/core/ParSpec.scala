@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.concurrent.{CyclicBarrier, TimeUnit}
 import java.util.concurrent.atomic.AtomicLong
-import org.apache.spark.{SparkException, TaskContext}
+import org.apache.spark.TaskContext
 import repro.{SparkSpec, TestUtil}
 import scala.concurrent.{blocking, Await, Future}
 import scala.concurrent.ExecutionContext.Implicits.global
@@ -239,19 +239,6 @@ class ParSpec extends SparkSpec {
     assert(TestUtil.sharesIn(Par.mapGroups(spark, Array(Array.range(0, 100)))(_.sum)) === 0)
     assert(TestUtil.sharesIn(Par.mapGroups(spark, Array.empty[Array[Int]])(_.sum)) === 0)
     assert(TestUtil.sharesIn(Par.mapItems(spark, 100, Par.indexed(spark, 100))(() => i => i)) === 1)
-  }
-
-  test("no registry entry outlives its fan-out, after a normal return or a task throw") {
-    val xs = Array.range(0, 1000)
-    TestUtil.assertReleases(spark) {
-      assert(Par.mapGroups(spark, Par.indexed(spark, 1000))(g => g.map(xs(_)).sum).sum === xs.sum)
-    }
-    TestUtil.assertReleases(spark) {
-      intercept[SparkException](Par.mapGroups(spark, Par.indexed(spark, 1000)) { g =>
-        if (g.contains(500)) throw new IllegalStateException("task")
-        g.map(xs(_)).sum
-      })
-    }
   }
 
   test("two fan-outs on two driver threads at once each read only their own captures") {

@@ -1,9 +1,34 @@
 package repro.core
 
-import repro.SparkSpec
+import org.apache.spark.SparkException
+import repro.{SparkSpec, TestUtil}
 
-/** The run context: phase times lie within the run's wall time. */
+/** The run context: no fan-out inside a run leaves a registry entry behind,
+  * however the run ends, and phase times lie within the run's wall time.
+  */
 class RunSpec extends SparkSpec {
+
+  test("a normal run leaves no live share") {
+    TestUtil.assertReleases(spark) {
+      Run(spark) { _ =>
+        val xs = Array.range(0, 1000)
+        assert(Par.mapGroups(spark, Par.indexed(spark, 1000))(g => g.map(xs(_)).sum).sum === xs.sum)
+      }
+    }
+  }
+
+  test("a task that throws gives a SparkException and leaves no live share") {
+    TestUtil.assertReleases(spark) {
+      intercept[SparkException](Run(spark) { _ =>
+        val xs = Array.range(0, 1000)
+        val ys = Array.fill(1000)(1.0)
+        Par.mapGroups(spark, Par.indexed(spark, 1000)) { g =>
+          if (g.contains(500)) throw new IllegalStateException("task")
+          g.map(i => xs(i) * ys(i)).sum
+        }
+      })
+    }
+  }
 
   test("phase times add up over blocks, are non-negative and at most the call's wall time") {
     val t0 = System.nanoTime()
