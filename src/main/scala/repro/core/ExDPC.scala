@@ -7,15 +7,20 @@ import repro.kdtree.{KdTree, MaxRhoKdTree}
   *
   * Densities: one range count per point on a static [[MaxRhoKdTree]] through
   * [[Density]], parallelized across Spark tasks with dynamic oversubscription
-  * (the paper's `omp parallel for schedule(dynamic)`); the tasks read the
-  * driver's points and tree in place.
+  * (the paper's `omp parallel for schedule(dynamic)`); each task counts a
+  * contiguous slice of the tree's leaf order ([[Par.sliced]]), so the points
+  * of one task search the same few subtrees. The tasks read the driver's
+  * points and tree in place.
   *
   * Dependent points (the delta phase: the density-order sort and this loop):
   * the kd-tree is destroyed and rebuilt *incrementally* in descending density
   * order — when point p is processed the tree holds exactly the points denser
-  * than p, so a plain NN search returns the true dependent point. This loop is
-  * inherently sequential (each step mutates the tree) and runs on the driver —
-  * the very limitation the paper's thread-scaling experiment demonstrates.
+  * than p, so a plain NN search returns the true dependent point, the one
+  * with the smallest id among equidistant ones. The tree is the bucketed
+  * [[KdTree]] (leaves of up to 16 points with boxes); the loop's order is the
+  * paper's. This loop is inherently sequential (each step mutates the tree)
+  * and runs on the driver — the very limitation the paper's thread-scaling
+  * experiment demonstrates.
   */
 object ExDPC extends DPCAlgorithm {
   override val name = "Ex-DPC"
@@ -26,7 +31,7 @@ object ExDPC extends DPCAlgorithm {
     val dcut = params.dcut
 
     val tree = run.rho(MaxRhoKdTree.build(pts, Array.range(0, n)))
-    val rho = run.rho(Density.rho(spark, n, Par.indexed(spark, n)) { () =>
+    val rho = run.rho(Density.rho(spark, n, Par.sliced(spark, tree.leafOrder)) { () =>
       val q = new Array[Double](d)
       i => {
         System.arraycopy(pts.data, i * d, q, 0, d)

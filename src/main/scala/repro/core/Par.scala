@@ -19,7 +19,8 @@ import scala.reflect.ClassTag
   *    into buckets with Graham's LPT greedy (3/2-approx of makespan).
   *  - [[indexed]] — the `schedule(dynamic)` analogue of §3: unit-cost items
   *    are dealt round-robin into many more groups than cores so the Spark
-  *    scheduler balances dynamically.
+  *    scheduler balances dynamically; [[sliced]] makes as many groups from
+  *    contiguous slices of a given order (Ex-DPC's kd-tree leaf order).
   *  - [[ranges]] — deliberately *unbalanced* static contiguous ranges,
   *    reproducing LSH-DDP's hash partitioning that the paper criticizes.
   *
@@ -79,6 +80,16 @@ object Par {
     */
   def indexed(spark: SparkSession, n: Int): Array[Array[Int]] =
     roundRobin(n, spark.sparkContext.defaultParallelism * Oversub)
+
+  /** `order` cut into as many contiguous slices as [[indexed]] deals groups
+    * (at most `order.length`), their lengths differing by at most one: items
+    * next to each other in `order` share a group.
+    */
+  def sliced(spark: SparkSession, order: Array[Int]): Array[Array[Int]] = {
+    val n = order.length
+    val p = math.min(n, spark.sparkContext.defaultParallelism * Oversub)
+    Array.tabulate(p)(g => java.util.Arrays.copyOfRange(order, (g.toLong * n / p).toInt, ((g + 1).toLong * n / p).toInt))
+  }
 
   /** `0 until n` dealt round-robin into `min(n, parts)` groups. */
   private def roundRobin(n: Int, parts: Int): Array[Array[Int]] = {

@@ -32,6 +32,9 @@ final class MaxRhoKdTree private (
     height: Int
 ) {
 
+  /** The indexed point ids in leaf order: ids in one subtree are contiguous. */
+  def leafOrder: Array[Int] = perm.clone()
+
   /** Squared distance from `q` to the box of `node` (0 inside it). A point in
     * the box is never nearer: coordinate differences round monotonically.
     */
@@ -226,7 +229,7 @@ final class MaxRhoKdTree private (
 object MaxRhoKdTree {
 
   /** Most ids a leaf holds. */
-  val LeafSize = 16
+  final val LeafSize = 16
 
   /** Leaf-order densities of a tree's points and the largest density under
     * each node; see [[MaxRhoKdTree.densities]].

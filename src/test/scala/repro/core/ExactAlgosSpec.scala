@@ -19,7 +19,8 @@ class ExactAlgosSpec extends SparkSpec {
 
   /** `rho` and `delta` bit-identical to brute force, every dependent point
     * denser, and for the algorithms whose dependent phase is
-    * [[ScanDependents]], the densest of the nearest denser points.
+    * [[ScanDependents]] the densest of the nearest denser points, for Ex-DPC
+    * the one with the smallest id.
     */
   private def check(res: DPCResult, pts: Pts, b: Brute, algo: DPCAlgorithm): Unit = {
     assert(res.rho.toSeq === b.rho.toSeq, s"${algo.name}: densities differ from brute force")
@@ -30,6 +31,7 @@ class ExactAlgosSpec extends SparkSpec {
       if (res.depId(i) >= 0) assert(res.rho(res.depId(i)) > res.rho(i), s"${algo.name}: dep of $i not denser")
       if (scanDependents(algo))
         assert(res.depId(i) === b.depDensest(i), s"${algo.name}: depId($i) is not the densest nearest denser point")
+      else assert(res.depId(i) === b.depSmallest(i), s"${algo.name}: depId($i) is not the smallest-id nearest denser point")
       i += 1
     }
   }
@@ -159,7 +161,7 @@ class ExactAlgosSpec extends SparkSpec {
   // Every algorithm times its phases through one Run, and no fan-out of it
   // leaves a registry entry behind.
   for (algo <- Seq[DPCAlgorithm](ScanDPC, RTreeScanDPC, CFSFDPA, LSHDDP, ExDPC, ApproxDPC, SApproxDPC))
-    test(s"${algo.name} reports non-negative phase times and releases its shares") {
+    test(s"${algo.name} reports non-negative phase times; no registry entry outlives the run") {
       val pts = TestUtil.uniformPts(500, 2, 100.0, seed = 511)
       var r: DPCResult = null
       TestUtil.assertReleases(spark) { r = algo.run(spark, pts, DPCParams(dcut = 10.0)) }

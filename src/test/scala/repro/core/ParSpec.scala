@@ -55,6 +55,16 @@ class ParSpec extends SparkSpec {
     assert(out.sorted.toSeq === (1 to 1000))
   }
 
+  test("sliced cuts an order into as many contiguous slices as indexed deals groups") {
+    val order = new Random(3).shuffle((0 until 1000).toVector).toArray
+    val g     = Par.sliced(spark, order)
+    assert(g.length === Par.indexed(spark, 1000).length)
+    assert(g.flatten.toSeq === order.toSeq)
+    assert(g.map(_.length).max - g.map(_.length).min <= 1)
+    assert(Par.sliced(spark, Array(5, 3)).map(_.toSeq).toSeq === Seq(Seq(5), Seq(3)))
+    assert(Par.sliced(spark, Array.empty[Int]).isEmpty)
+  }
+
   test("mapGroups over ranges covers 0 until n in contiguous ranges") {
     val out = Par.mapGroups(spark, Par.ranges(100, 7)) { idxs =>
       idxs.map(i => (i, idxs.min, idxs.max, idxs.length))

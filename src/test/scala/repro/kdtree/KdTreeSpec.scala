@@ -35,11 +35,7 @@ class KdTreeSpec extends AnyFunSuite {
     }
 
     test(s"nearest matches brute force (d=$d, n=$n)") {
-      for (q <- queries) {
-        val (gid, gd) = tree.nearest(q)
-        val (bid, bd) = TestUtil.bruteNearest(pts, 0 until n, q)
-        assert(math.abs(gd - bd) < 1e-9, s"dist mismatch: got ($gid,$gd) want ($bid,$bd)")
-      }
+      for (q <- queries) assert(tree.nearest(q) === TestUtil.bruteNearest(pts, 0 until n, q))
     }
 
     test(s"nearest honours the initial bound (d=$d, n=$n)") {
@@ -66,9 +62,7 @@ class KdTreeSpec extends AnyFunSuite {
         inserted += i
         if (step % 37 == 0) {
           val q = Array.fill(d)(rnd.nextDouble() * 100.0)
-          val (gid, gd) = tree.nearest(q)
-          val (_, bd)   = TestUtil.bruteNearest(pts, inserted.toSeq, q)
-          assert(gid >= 0 && math.abs(gd - bd) < 1e-9)
+          assert(tree.nearest(q) === TestUtil.bruteNearest(pts, inserted.toSeq.sorted, q))
           val r = 5.0 + rnd.nextDouble() * 20
           val sub = Pts.fromArrays(d, inserted.toSeq.map(pts.point))
           assert(tree.rangeCount(q, r) === TestUtil.bruteRangeCount(sub, q, r))
@@ -84,9 +78,7 @@ class KdTreeSpec extends AnyFunSuite {
     val tree = new KdTree(pts).buildFrom(ids)
     assert(tree.size === ids.length)
     val q = Array(25.0, 25.0)
-    val (gid, gd) = tree.nearest(q)
-    val (_, bd)   = TestUtil.bruteNearest(pts, ids.toSeq, q)
-    assert(gid >= 0 && math.abs(gd - bd) < 1e-9)
+    assert(tree.nearest(q) === TestUtil.bruteNearest(pts, ids.toSeq, q))
   }
 
   test("empty tree: safe defaults") {
@@ -105,7 +97,8 @@ class KdTreeSpec extends AnyFunSuite {
   }
 
   /** Inserts `order` one by one, then checks every search against brute force
-    * on `queries`: `nearest`'s distance bit for bit, range counts exactly.
+    * on `queries`: `nearest`'s distance bit for bit and its id the smallest
+    * of the nearest, range counts exactly.
     */
   private def checkDeepTree(pts: Pts, order: Seq[Int], queries: Seq[Array[Double]], radii: Seq[Double]): Unit = {
     val tree = new KdTree(pts)
@@ -113,8 +106,9 @@ class KdTreeSpec extends AnyFunSuite {
     assert(tree.size === order.length)
     for (q <- queries) {
       val (gid, gd) = tree.nearest(q)
-      val (_, bd)   = TestUtil.bruteNearest(pts, order, q)
+      val (bid, bd) = TestUtil.bruteNearest(pts, order.sorted, q)
       assert(java.lang.Double.compare(gd, bd) == 0, s"nearest: got ($gid, $gd), want distance $bd")
+      assert(gid === bid)
       assert(java.lang.Double.compare(math.sqrt(pts.dist2To(gid, q)), bd) == 0)
       for (r <- radii) assert(tree.rangeCount(q, r) === TestUtil.bruteRangeCount(pts, q, r))
     }
@@ -137,22 +131,61 @@ class KdTreeSpec extends AnyFunSuite {
   }
 
   test("deep tree: a comb whose far children outgrow the initial search stack") {
-    // 1-d: spine nodes 0, 2, 4, ... each get the left leaf 2k - 1, so a search
-    // from the far right leaves one far child pending per level.
+    // 1-d: 0, -1, 2, 1, 4, 3, ... in increasing steps, so every split leaves
+    // about half a leaf on the left and the tree is a spine thousands of levels
+    // deep; a search from the far right leaves one sibling pending per level.
     val half  = 10000
     val pts   = Pts.fromArrays(1, (0 until half).flatMap(k => Seq(Array(2.0 * k), Array(2.0 * k - 1))))
     val queries = Seq(Array(1e9), Array(-1e9), Array(7777.7))
     checkDeepTree(pts, 0 until 2 * half, queries, radii = Seq(1.5, 1e4, 1e10))
   }
 
-  test("nearest breaks distance ties by visit order: the near child before the far one") {
-    // Root (0, 10) splits on x; q = (0, 0) has diff 0, so its near side is the
-    // right child. Both children are at distance 1; Ex-DPC's depId relies on
-    // the right one (id 2) being returned.
+  // Quantized points put many points at one position and many pairs exactly
+  // equidistant from a query on the grid. Brute force over ids in ascending
+  // order keeps the first of the nearest, i.e. the smallest id.
+  for (d <- Seq(1, 2, 3, 5)) {
+    test(s"nearest takes the smallest id among equidistant points (d=$d)") {
+      val n    = 3000
+      val pts  = TestUtil.quantizedPts(n, d, k = 3, sigma = 30.0, domain = 200.0, step = 10.0, seed = 70L + d)
+      val rnd  = new Random(71L + d)
+      val grid = Seq.fill(40)(Array.fill(d)(10.0 * rnd.nextInt(21))) ++ Seq.fill(10)(pts.point(rnd.nextInt(n)))
+      val bulk = new KdTree(pts).buildAll()
+      val inc  = new KdTree(pts)
+      val order    = rnd.shuffle((0 until n).toVector)
+      val inserted = scala.collection.mutable.ArrayBuffer.empty[Int]
+      var ties     = 0
+      order.zipWithIndex.foreach { case (i, step) =>
+        inc.insert(i)
+        inserted += i
+        if (step % 97 == 0 || step == n - 1) {
+          val ids = inserted.toSeq.sorted
+          for (q <- grid) {
+            val want = TestUtil.bruteNearest(pts, ids, q)
+            assert(inc.nearest(q) === want, s"after ${step + 1} inserts")
+            val d2  = ids.map(pts.dist2To(_, q))
+            val min = d2.min
+            if (d2.count(_ == min) > 1) ties += 1
+          }
+        }
+      }
+      for (q <- grid) assert(bulk.nearest(q) === TestUtil.bruteNearest(pts, 0 until n, q))
+      assert(ties > 100, "the inputs must put several points at the nearest distance")
+    }
+  }
+
+  test("nearest takes the smallest id, not the near child, on a split-plane tie") {
+    // Both (-1, 0) and (1, 0) are at distance 1 from (0, 0), on opposite sides
+    // of any split on x; a tree of one point per node returned id 2.
     val pts  = Pts.fromArrays(2, Seq(Array(0.0, 10.0), Array(-1.0, 0.0), Array(1.0, 0.0)))
     val tree = new KdTree(pts)
     (0 until 3).foreach(tree.insert)
-    assert(tree.nearest(Array(0.0, 0.0)) === ((2, 1.0)))
+    assert(tree.nearest(Array(0.0, 0.0)) === ((1, 1.0)))
+    // Ids 2k and 2k + 1 at k + 1 and -(k + 1): every pair ties around 0, and
+    // on a tie of the two child boxes the left (negative) one is searched first.
+    val spread = Pts.fromArrays(1, (0 until 40).map(i => Array((i / 2 + 1.0) * (if (i % 2 == 0) 1 else -1))))
+    val wide   = new KdTree(spread)
+    (39 to 0 by -1).foreach(wide.insert)
+    assert(wide.nearest(Array(0.0)) === ((0, 1.0)))
   }
 
   test("memBytes grows with size") {
@@ -162,11 +195,21 @@ class KdTreeSpec extends AnyFunSuite {
     assert(t2.memBytes > t1.memBytes)
   }
 
-  test("memBytes models four ints and d doubles per node") {
-    val pts = TestUtil.uniformPts(500, 3, 10.0, seed = 9)
-    assert(new KdTree(pts).buildAll().memBytes === 500L * 40L)
+  test("memBytes models a record of 2d + 1 doubles and four ints per node and 16 slots per leaf") {
+    val d    = 3
+    val node = 16L + 8L * (2 * d + 1) // box lo, box hi, split key; four ints
+    val leaf = 16L * (4L + 8L * d)    // 16 slots of an id and d coordinates
+    val pts  = TestUtil.uniformPts(500, d, 10.0, seed = 9)
+    val bulkNodes = MaxRhoKdTree.nodeCount(500)
+    assert(new KdTree(pts).buildAll().memBytes === bulkNodes * node + (bulkNodes + 1) / 2 * leaf)
     val inc = new KdTree(pts)
-    (0 until 37).foreach(inc.insert)
-    assert(inc.memBytes === 37L * 40L)
+    (0 until 16).foreach(inc.insert)
+    assert(inc.memBytes === node + leaf)
+    inc.insert(16) // the first split: two new leaves, one new block
+    assert(inc.memBytes === 3 * node + 2 * leaf)
+    // 50k points at one position stay one leaf.
+    val same = new KdTree(Pts.fromArrays(d, Seq.fill(50000)(Array(1.0, 2.0, 3.0))))
+    (0 until 50000).foreach(same.insert)
+    assert(same.memBytes === node + leaf)
   }
 }
