@@ -18,7 +18,11 @@ import repro.lsh.LSHDDP
   * `baselineN` ids.
   *
   * Two checkouts give the same outputs exactly when their lines are equal,
-  * so `diff` of two runs compares a change with its parent.
+  * so `diff` of two runs compares a change with its parent. The inputs
+  * themselves depend on the core count: `PointGen` draws from `spark.range`,
+  * whose partition count is `defaultParallelism`, with `rand(seed)` seeded
+  * per partition. So the job first prints a header line with the master and
+  * `defaultParallelism`, and only runs with equal headers are comparable.
   */
 object DigestJob {
 
@@ -41,6 +45,7 @@ object DigestJob {
       .config("spark.driver.host", "127.0.0.1")
       .getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
+    println(s"master=${spark.sparkContext.master} defaultParallelism=${spark.sparkContext.defaultParallelism}")
     try inputs.foreach { in =>
       val df = in.spec.generate(spark, in.n)
       // rhoMin and deltaMin only cut labels, which this job does not compute.

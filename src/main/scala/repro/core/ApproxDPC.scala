@@ -19,7 +19,7 @@ object ApproxDPC extends DPCAlgorithm {
   override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = Run(spark) { run =>
     val dcut = params.dcut
     val pass = CellPass.run(run, pts, dcut / math.sqrt(pts.d.toDouble), dcut, firstOnly = false, dcut, dcut)
-    run.delta(pass.settle(ExactDependents.search(spark, pass.tree, pts, pass.rho, Array.range(0, pts.n), pass.undecided)))
+    run.delta(ExactDependents.search(spark, pass.tree, pts, pass.rho, Array.range(0, pts.n), pass.undecided, pass.depId, pass.delta))
     new DPCResult(pass.rho, pass.depId, pass.delta, run.times, pass.memBytes)
   }
 }

@@ -4,25 +4,6 @@ import repro.grid.Grid
 import repro.kdtree.MaxRhoKdTree
 import scala.collection.mutable
 
-/** Output of one density task of the grid pass for its group of grid cells,
-  * as flat arrays in group order.
-  *
-  * @param rhos   the densities the task computed, in the grid's member order:
-  *               every member of every cell, or each cell's first member only
-  * @param pstar  per cell, its densest member with a density, `p*(c)`
-  * @param minRho per cell, its smallest member density
-  * @param nbrOff CSR offsets, one per cell plus one: cell k's `N(c)` is
-  *               `nbrs(nbrOff(k) until nbrOff(k + 1))`
-  * @param nbrs   the neighbour cells of all the group's cells
-  */
-final class CellBlock(
-    val rhos: Array[Double],
-    val pstar: Array[Int],
-    val minRho: Array[Double],
-    val nbrOff: Array[Int],
-    val nbrs: Array[Int]
-) extends Serializable
-
 /** The grid pass of both grid algorithms: Approx-DPC (§4) and S-Approx-DPC
   * (§5), which is Approx-DPC on a coarser grid where one picked point per cell
   * does the work.
@@ -36,7 +17,9 @@ final class CellBlock(
   * its center with radius `dcut + max_p dist(center, p)`, a superset of every
   * member's ball. Cells are LPT-assigned to Spark tasks with `cost_range(c) =
   * |P(c)|` (§4.5; the paper's second, post-range re-assignment is collapsed
-  * into this one — see DESIGN.md), and each task returns one [[CellBlock]].
+  * into this one — see DESIGN.md). Each task writes its cells' densities,
+  * `p*(c)`, minimum density and `|N(c)|` in place and returns only their
+  * `N(c)` lists, which the driver packs into one CSR array.
   *
   * Approximate dependents — O(1) per point via the cell metadata: see
   * [[dependents]]. The representatives left undecided are the caller's.
@@ -63,15 +46,7 @@ object CellPass {
       val delta: Array[Double],
       val undecided: Array[Int],
       val memBytes: Long
-  ) {
-    /** Sets the dependents of the undecided points to `exact`, their
-      * `(depId, delta)` in the order of [[undecided]].
-      */
-    def settle(exact: (Array[Int], Array[Double])): Unit = {
-      var k = 0
-      while (k < undecided.length) { depId(undecided(k)) = exact._1(k); delta(undecided(k)) = exact._2(k); k += 1 }
-    }
-  }
+  )
 
   /** Runs the pass over `pts` on the grid of side `side` in `run`: the tree,
     * the grid and the density job are timed as `run`'s rho phase, the
@@ -85,39 +60,25 @@ object CellPass {
     val (tree, grid, rho, pstar, minRho, nbrOff, nbrs) = run.rho {
       val tree   = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
       val grid   = new Grid(pts, side)
-      val groups = Par.lpt(Array.tabulate(grid.nCells)(grid.size(_).toDouble), run.spark.sparkContext.defaultParallelism)
-      val blocks = Par.mapGroups(run.spark, groups)(densities(pts, tree, grid, dcut, firstOnly, _))
-
       val rho    = Array.fill(pts.n)(Double.NaN)
       val pstar  = new Array[Int](grid.nCells)
       val minRho = new Array[Double](grid.nCells)
-      val nbrOff = new Array[Int](grid.nCells + 1) // CSR N(c): counts first, then offsets
-      var g = 0
-      while (g < groups.length) {
-        val b   = blocks(g)
-        var pos = 0
-        var k   = 0
-        while (k < groups(g).length) {
-          val c  = groups(g)(k)
-          val lo = grid.start(c)
-          var s  = lo
-          while (s < lo + rated(grid, c, firstOnly)) { rho(grid.members(s)) = b.rhos(pos); pos += 1; s += 1 }
-          pstar(c) = b.pstar(k)
-          minRho(c) = b.minRho(k)
-          nbrOff(c + 1) = b.nbrOff(k + 1) - b.nbrOff(k)
-          k += 1
-        }
-        g += 1
-      }
+      val nbrOff = new Array[Int](grid.nCells + 1) // CSR N(c): |N(c)| at c + 1 first, then offsets
+      val groups = Par.lpt(Array.tabulate(grid.nCells)(grid.size(_).toDouble), run.spark.sparkContext.defaultParallelism)
+      val lists  = Par.mapGroups(run.spark, groups)(densities(pts, tree, grid, dcut, firstOnly, rho, pstar, minRho, nbrOff, _))
+
       var c = 0
       while (c < grid.nCells) { nbrOff(c + 1) += nbrOff(c); c += 1 }
       val nbrs = new Array[Int](nbrOff(grid.nCells))
-      g = 0
+      var g = 0
       while (g < groups.length) {
-        val b = blocks(g)
-        var k = 0
+        var pos = 0
+        var k   = 0
         while (k < groups(g).length) {
-          System.arraycopy(b.nbrs, b.nbrOff(k), nbrs, nbrOff(groups(g)(k)), b.nbrOff(k + 1) - b.nbrOff(k))
+          val cell = groups(g)(k)
+          val len  = nbrOff(cell + 1) - nbrOff(cell)
+          System.arraycopy(lists(g), pos, nbrs, nbrOff(cell), len)
+          pos += len
           k += 1
         }
         g += 1
@@ -133,56 +94,59 @@ object CellPass {
   /** Number of members of cell `c` that get a density. */
   private def rated(g: Grid, c: Int, firstOnly: Boolean): Int = if (firstOnly) 1 else g.size(c)
 
-  /** The density task of one group of cells `cellIdxs`. */
-  private def densities(p: Pts, t: MaxRhoKdTree, g: Grid, dcut: Double, firstOnly: Boolean, cellIdxs: Array[Int]): CellBlock = {
-    val dcut2  = dcut * dcut
-    val seen   = new Array[Int](g.nCells)
+  /** The density task of one group of cells `cellIdxs`: writes each cell's
+    * rated members' `rho`, its `pstar` and `minRho`, and `|N(c)|` at
+    * `nbrOff(c + 1)`, and returns the cells' `N(c)` lists, concatenated in
+    * the order of `cellIdxs`.
+    */
+  private def densities(
+      p: Pts, t: MaxRhoKdTree, g: Grid, dcut: Double, firstOnly: Boolean,
+      rho: Array[Double], pstar: Array[Int], minRho: Array[Double], nbrOff: Array[Int], cellIdxs: Array[Int]
+  ): Array[Int] = {
+    val dcut2 = dcut * dcut
+    val seen  = new Array[Int](g.nCells)
     java.util.Arrays.fill(seen, -1)
-    val rhos   = new Array[Double](cellIdxs.iterator.map(rated(g, _, firstOnly)).sum)
-    val pstar  = new Array[Int](cellIdxs.length)
-    val minRho = new Array[Double](cellIdxs.length)
-    val nbrOff = new Array[Int](cellIdxs.length + 1)
-    val nbrs   = new mutable.ArrayBuilder.ofInt
-    var pos = 0
-    var k   = 0
+    val nbrs  = new mutable.ArrayBuilder.ofInt
+    var k = 0
     while (k < cellIdxs.length) {
-      val c  = cellIdxs(k)
-      val lo = g.start(c)
-      val m  = rated(g, c, firstOnly)
+      val c     = cellIdxs(k)
+      val lo    = g.start(c)
+      val m     = rated(g, c, firstOnly)
+      val start = nbrs.length
       if (m == 1) {
         // One point: B(p,dcut) needs no enclosing ball — query the point
         // itself (same result set, much smaller radius in high dimensions).
-        val i   = g.members(lo)
-        val r   = t.rangeSearch(p.point(i), dcut) // inclusive superset; the scan is strict
-        val rho = scan(p, g.cellOf, i, c, r, dcut2, seen, nbrs) + Jitter.frac(i)
-        rhos(pos) = rho; pstar(k) = i; minRho(k) = rho
+        val i  = g.members(lo)
+        val r  = t.rangeSearch(p.point(i), dcut) // inclusive superset; the scan is strict
+        val ri = scan(p, g.cellOf, i, c, r, dcut2, seen, nbrs) + Jitter.frac(i)
+        rho(i) = ri; pstar(c) = i; minRho(c) = ri
       } else {
         val cp   = g.center(c)
         var rmax = 0.0
         var s = lo
         while (s < lo + m) { rmax = math.max(rmax, math.sqrt(p.dist2To(g.members(s), cp))); s += 1 }
-        val r = t.rangeSearch(cp, dcut + rmax + 1e-9)
+        // A relative pad: an absolute one is below one ulp of a large radius.
+        val r = t.rangeSearch(cp, (dcut + rmax) * (1 + 1e-9))
         // exact density of every member by scanning the joint result
         var star    = -1
         var starRho = Double.NegativeInfinity
         var min     = Double.PositiveInfinity
         s = lo
         while (s < lo + m) {
-          val i   = g.members(s)
-          val rho = scan(p, g.cellOf, i, c, r, dcut2, seen, null) + Jitter.frac(i)
-          rhos(pos + s - lo) = rho
-          if (rho > starRho) { starRho = rho; star = i }
-          if (rho < min) min = rho
+          val i  = g.members(s)
+          val ri = scan(p, g.cellOf, i, c, r, dcut2, seen, null) + Jitter.frac(i)
+          rho(i) = ri
+          if (ri > starRho) { starRho = ri; star = i }
+          if (ri < min) min = ri
           s += 1
         }
         scan(p, g.cellOf, star, c, r, dcut2, seen, nbrs)
-        pstar(k) = star; minRho(k) = min
+        pstar(c) = star; minRho(c) = min
       }
-      pos += m
-      nbrOff(k + 1) = nbrs.length
+      nbrOff(c + 1) = nbrs.length - start
       k += 1
     }
-    new CellBlock(rhos, pstar, minRho, nbrOff, nbrs.result())
+    nbrs.result()
   }
 
   /** The approximate dependents of every point of `grid`: a member other than

@@ -6,30 +6,34 @@ import repro.kdtree.MaxRhoKdTree
 /** The dependent-point phase (§2.1 step 3): for each query point, its
   * dependent point, the nearest point of strictly higher density.
   *
-  * A caller supplies the queries, groups of their positions and a kernel
-  * factory, as for [[Par.mapItems]]: the kernel returns the dependent id of
+  * A caller supplies the queries, groups of their positions, its output
+  * arrays and a kernel factory, which each task of [[Par.mapGroups]] calls
+  * once to make its per-item kernel: the kernel returns the dependent id of
   * the query at a position, or -1 if it has none, and fixes the tie rule
-  * among equidistant candidates. Each task returns one `Array[Int]`, and
-  * `delta` is derived once, on the driver, from the ids.
+  * among equidistant candidates. Each task writes its own queries' entries.
   */
 object Dependents {
 
-  /** Returns `(depId, delta)` of each query, in the order of `queries`:
-    * `delta(k)` is `pts.dist(queries(k), depId(k))`, or +inf where `depId(k)`
-    * is -1.
+  /** Sets `depId(i)` and `delta(i)` of each query `i`: `depId(i)` is the
+    * kernel's result at `i`'s position in `queries`, `delta(i)` is
+    * `pts.dist(i, depId(i))`, or +inf where `depId(i)` is -1. The entries of
+    * points that are not queries are left as they are.
     */
-  def search(spark: SparkSession, pts: Pts, queries: Array[Int], groups: Array[Array[Int]])(
-      kernel: () => Int => Int
-  ): (Array[Int], Array[Double]) = {
-    val depId = Par.mapItems(spark, queries.length, groups)(kernel)
-    val delta = new Array[Double](queries.length)
-    var k = 0
-    while (k < queries.length) {
-      delta(k) = if (depId(k) < 0) Double.PositiveInfinity else pts.dist(queries(k), depId(k))
-      k += 1
+  def search(
+      spark: SparkSession, pts: Pts, queries: Array[Int], groups: Array[Array[Int]],
+      depId: Array[Int], delta: Array[Double]
+  )(kernel: () => Int => Int): Unit =
+    Par.mapGroups(spark, groups) { ks =>
+      val dep = kernel()
+      var u = 0
+      while (u < ks.length) {
+        val i = queries(ks(u))
+        val j = dep(ks(u))
+        depId(i) = j
+        delta(i) = if (j < 0) Double.PositiveInfinity else pts.dist(i, j)
+        u += 1
+      }
     }
-    (depId, delta)
-  }
 }
 
 /** O(n^2) dependent-point search (§2.1 step 3): points are sorted by
@@ -48,7 +52,9 @@ object ScanDependents {
     val order = Order.descending(rho)
     // The query at position r scans the r points before it: LPT-balance by r.
     val groups = Par.lpt(Array.tabulate(n)(r => math.max(1.0, r.toDouble)), spark.sparkContext.defaultParallelism)
-    val (dep, delta) = Dependents.search(spark, pts, order, groups) { () =>
+    val depId  = new Array[Int](n)
+    val delta  = new Array[Double](n)
+    Dependents.search(spark, pts, order, groups, depId, delta) { () =>
       val c   = new Columns(pts, order)
       val q   = new Array[Double](c.d)
       val acc = new Array[Double](Columns.Chunk)
@@ -58,8 +64,7 @@ object ScanDependents {
         if (s < 0) -1 else order(s)
       }
     }
-    // From descending-density positions back to point ids.
-    (Par.scatter(n, Array(order), Array(dep)), Par.scatter(n, Array(order), Array(delta)))
+    (depId, delta)
   }
 }
 
@@ -95,11 +100,11 @@ object ExactDependents {
     math.min(u.toDouble, math.pow(2.0, d) * math.log(u + 1.0) / math.log(2.0))
 
   /** For each query (must be in `universe`), the nearest universe point with
-    * strictly higher density. Returns `(query, depId, delta)` triples; queries
-    * with no higher-density universe point get `(-1, +inf)`. `delta` is
-    * bit-identical to `pts.dist(query, depId)`; among equidistant candidates
-    * the smallest id is chosen. Builds a tree over the universe and runs
-    * [[search]] on it.
+    * strictly higher density. Returns `(query, depId, delta)` triples in the
+    * order of `queries`; queries with no higher-density universe point get
+    * `(-1, +inf)`. `delta` is bit-identical to `pts.dist(query, depId)`; among
+    * equidistant candidates the smallest id is chosen. Builds a tree over the
+    * universe and runs [[search]] on it.
     */
   def compute(
       spark: SparkSession,
@@ -110,13 +115,15 @@ object ExactDependents {
   ): Array[(Int, Int, Double)] = {
     if (universe.isEmpty || queries.isEmpty)
       return queries.map(q => (q, -1, Double.PositiveInfinity))
-    val (dep, delta) = search(spark, MaxRhoKdTree.build(pts, universe), pts, rho, universe, queries)
-    Array.tabulate(queries.length)(k => (queries(k), dep(k), delta(k)))
+    val depId = new Array[Int](pts.n)
+    val delta = new Array[Double](pts.n)
+    search(spark, MaxRhoKdTree.build(pts, universe), pts, rho, universe, queries, depId, delta)
+    queries.map(q => (q, depId(q), delta(q)))
   }
 
   /** [[compute]] over `tree`, which indexes at least the universe, such as
-    * the one a density phase searched. Returns `(depId, delta)` of each query,
-    * in the order of `queries`.
+    * the one a density phase searched: sets `depId(q)` and `delta(q)` of each
+    * query `q`, as [[Dependents.search]] does, and no other entry.
     */
   def search(
       spark: SparkSession,
@@ -124,13 +131,15 @@ object ExactDependents {
       pts: Pts,
       rho: Array[Double],
       universe: Array[Int],
-      queries: Array[Int]
-  ): (Array[Int], Array[Double]) = {
+      queries: Array[Int],
+      depId: Array[Int],
+      delta: Array[Double]
+  ): Unit = {
     val dens   = tree.densities(rho, universe)
     val groups = Par.sized(spark, queries.length, queries.length * queryWork(universe.length, pts.d))
     // The dependent id of the query at a position: the smallest id among the
     // nearest points denser than it.
-    Dependents.search(spark, pts, queries, groups) { () =>
+    Dependents.search(spark, pts, queries, groups, depId, delta) { () =>
       val q = new Array[Double](pts.d)
       k => {
         val i = queries(k)

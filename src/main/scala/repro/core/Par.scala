@@ -10,10 +10,11 @@ import scala.reflect.ClassTag
   *
   * Every parallel phase builds groups of item indices and runs them through
   * [[mapGroups]]: one RDD stage with one partition, hence one Spark task, per
-  * group. Each task returns one block of primitive arrays for its group, and
-  * [[scatter]] puts the blocks' values back at their items' indices;
-  * [[mapItems]] is that loop for a per-item kernel. Three
-  * group builders mirror the paper's scheduling modes:
+  * group. As an OpenMP thread writes `rho[i]` for its own points, a task
+  * writes its own group's items into the caller's output arrays, at those
+  * items' indices: the groups are disjoint, and the job's end publishes the
+  * writes to the driver. Three group builders mirror the paper's scheduling
+  * modes:
   *
   *  - [[lpt]] — the cost-based partitioning of §4.5: work units are packed
   *    into buckets with Graham's LPT greedy (3/2-approx of makespan).
@@ -114,8 +115,9 @@ object Par {
     * [[registry]] under a fresh key for the length of its job, and each task
     * carries only that key and its group's index. So `f` reads what it
     * captures (points, trees, grids, densities) as the driver's own objects,
-    * shared by every task of the job: captures are read-only, and per-task
-    * scratch is made inside `f`. This needs every task in the driver's JVM,
+    * shared by every task of the job: captures are read-only except the
+    * phase's output arrays at the task's own items, and per-task scratch is
+    * made inside `f`. This needs every task in the driver's JVM,
     * so a fan-out refuses a master that is not local (see [[isLocal]]).
     */
   def mapGroups[T: ClassTag](spark: SparkSession, groups: Array[Array[Int]])(f: Array[Int] => T): Array[T] =
@@ -147,40 +149,4 @@ object Par {
     */
   def mapIndexed[T: ClassTag](spark: SparkSession, n: Int)(f: Array[Int] => Iterator[T]): Array[T] =
     mapGroups(spark, indexed(spark, n))(g => f(g).toArray).flatten
-
-  /** `kernel`'s result for every item of `groups` (which together hold
-    * `0 until n` once), placed by item index: each group runs in its own task,
-    * as [[mapGroups]] does, where `kernel()` makes the per-item function once.
-    * The kernel reads its captures in place, as [[mapGroups]]' `f` does; what
-    * one task writes (query buffers, stamps, column copies) it makes in the
-    * factory. Specialized, so `Int` and `Double` results are not boxed.
-    */
-  def mapItems[@specialized(Int, Double) T: ClassTag](spark: SparkSession, n: Int, groups: Array[Array[Int]])(
-      kernel: () => Int => T
-  ): Array[T] =
-    scatter(n, groups, mapGroups(spark, groups) { idxs =>
-      val f   = kernel()
-      val out = new Array[T](idxs.length)
-      var k = 0
-      while (k < idxs.length) { out(k) = f(idxs(k)); k += 1 }
-      out
-    })
-
-  /** An array of length `n` holding `blocks(g)(k)` at index `groups(g)(k)`:
-    * the per-group results of [[mapGroups]] placed by item index.
-    * Specialized, so `Int` and `Double` blocks are copied without boxing.
-    */
-  def scatter[@specialized(Int, Double) T: ClassTag](n: Int, groups: Array[Array[Int]], blocks: Array[Array[T]]): Array[T] = {
-    val out = new Array[T](n)
-    var g = 0
-    while (g < groups.length) {
-      val ix = groups(g)
-      val b  = blocks(g)
-      require(b.length == ix.length, s"group $g has ${ix.length} items but a block of ${b.length}")
-      var k = 0
-      while (k < ix.length) { out(ix(k)) = b(k); k += 1 }
-      g += 1
-    }
-    out
-  }
 }

@@ -33,7 +33,7 @@ object SApproxDPC extends DPCAlgorithm {
     run.delta {
       if (pPrime.length.toLong * pPrime.length > 4L * pts.n)
         // Fallback of §5: Approx-DPC's exact dependent search over the picked set.
-        pass.settle(ExactDependents.search(spark, pass.tree, pts, pass.rho, picked, pPrime))
+        ExactDependents.search(spark, pass.tree, pts, pass.rho, picked, pPrime, pass.depId, pass.delta)
       else if (pPrime.nonEmpty) temporalClusters(pts, pass.rho, picked, pPrime, pass.depId, pass.delta)
     }
     new DPCResult(pass.rho, pass.depId, pass.delta, run.times, pass.memBytes + 8L * picked.length)

@@ -64,46 +64,51 @@ object LSHDDP extends DPCAlgorithm {
 
     // Dependent: nearest denser bucket mate, the smallest id among equally
     // near ones, else exact full scan.
-    val (depId, delta) = run.delta(Dependents.search(spark, pts, Array.range(0, n), groups) { () =>
-      val seen = Array.fill(n)(-1)
-      i => {
-        seen(i) = i
-        val ri     = rho(i)
-        var bestId = -1
-        var bestD2 = Double.PositiveInfinity
-        var t = 0
-        while (t < grids.length) {
-          val g   = grids(t)
-          val c   = g.cellOf(i)
-          val end = g.start(c + 1)
-          var z   = g.start(c)
-          while (z < end) {
-            val j = g.members(z)
-            if (seen(j) != i) {
-              seen(j) = i
+    val (depId, delta) = run.delta {
+      val depId = new Array[Int](n)
+      val delta = new Array[Double](n)
+      Dependents.search(spark, pts, Array.range(0, n), groups, depId, delta) { () =>
+        val seen = Array.fill(n)(-1)
+        i => {
+          seen(i) = i
+          val ri     = rho(i)
+          var bestId = -1
+          var bestD2 = Double.PositiveInfinity
+          var t = 0
+          while (t < grids.length) {
+            val g   = grids(t)
+            val c   = g.cellOf(i)
+            val end = g.start(c + 1)
+            var z   = g.start(c)
+            while (z < end) {
+              val j = g.members(z)
+              if (seen(j) != i) {
+                seen(j) = i
+                if (rho(j) > ri) {
+                  val d2 = pts.dist2(i, j)
+                  if (d2 < bestD2 || (d2 == bestD2 && j < bestId)) { bestD2 = d2; bestId = j }
+                }
+              }
+              z += 1
+            }
+            t += 1
+          }
+          if (bestId < 0) {
+            // fallback: exact scan of the whole P, the first strict minimum
+            var j = 0
+            while (j < n) {
               if (rho(j) > ri) {
                 val d2 = pts.dist2(i, j)
-                if (d2 < bestD2 || (d2 == bestD2 && j < bestId)) { bestD2 = d2; bestId = j }
+                if (d2 < bestD2) { bestD2 = d2; bestId = j }
               }
+              j += 1
             }
-            z += 1
           }
-          t += 1
+          bestId
         }
-        if (bestId < 0) {
-          // fallback: exact scan of the whole P, the first strict minimum
-          var j = 0
-          while (j < n) {
-            if (rho(j) > ri) {
-              val d2 = pts.dist2(i, j)
-              if (d2 < bestD2) { bestD2 = d2; bestId = j }
-            }
-            j += 1
-          }
-        }
-        bestId
       }
-    })
+      (depId, delta)
+    }
 
     // Per table: bucket ids, and a member array (16-byte header) per bucket.
     val mem = lsh.paramBytes + 8L * m * n + grids.iterator.map(g => 16L * g.nCells + 4L * n).sum

@@ -74,6 +74,20 @@ class ApproxDPCSpec extends SparkSpec {
     assert(Labels.centers(ap, params.rhoMin, deltaMin).toSeq === centers)
   }
 
+  test("a d_cut near 1.7e7: the joint range search still finds a neighbour at the superset's edge") {
+    // Point 1 is its cell's center and point 2 lies within d_cut of point 0,
+    // almost at distance d_cut + rmax from the center: an absolute pad of
+    // 1e-9 on that radius is below one ulp and left point 2 out.
+    val dcut = 17155211.97804232
+    val c    = 0.5 * dcut / math.sqrt(2.0)
+    val pts  = Pts.fromArrays(2, Seq(
+      Array(12121291.276333775, 12124058.23538113), Array(c, c), Array(24249087.11835766, 24257395.20530638)))
+    val brute = TestUtil.bruteRho(pts, dcut)
+    assert(brute(0).toLong === 2L)
+    assert(ExDPC.run(spark, pts, DPCParams(dcut)).rho.toSeq === brute.toSeq)
+    assert(ApproxDPC.run(spark, pts, DPCParams(dcut)).rho.toSeq === brute.toSeq)
+  }
+
   test("Rand index vs Ex-DPC is near 1 on clustered data") {
     val pts    = TestUtil.clusteredPts(1500, 2, k = 5, sigma = 18.0, domain = 1000.0, seed = 630)
     val params = DPCParams(dcut = 36.0, rhoMin = 5.0)

@@ -149,7 +149,7 @@ class ExactAlgosSpec extends SparkSpec {
     }
   }
 
-  test("Ex-DPC: 20k identical points (one deep kd-tree chain) give one root and zero deltas") {
+  test("Ex-DPC: 20k identical points (one kd-tree leaf) give one root and zero deltas") {
     val n   = 20000
     val pts = Pts.fromArrays(2, Seq.fill(n)(Array(5.0, -7.0)))
     val r   = ExDPC.run(spark, pts, DPCParams(dcut = 1.0))

@@ -41,6 +41,18 @@ class ExactDependentsSpec extends SparkSpec {
     }
   }
 
+  /** [[ExactDependents.search]] into fresh arrays, read back in the order of
+    * `queries`.
+    */
+  private def search(
+      tree: MaxRhoKdTree, pts: Pts, rho: Array[Double], universe: Array[Int], queries: Array[Int]
+  ): (Array[Int], Array[Double]) = {
+    val depId = new Array[Int](pts.n)
+    val delta = new Array[Double](pts.n)
+    ExactDependents.search(spark, tree, pts, rho, universe, queries, depId, delta)
+    (queries.map(depId), queries.map(delta))
+  }
+
   // Duplicate-heavy 3-d points (step 10, dcut 20: many points share a
   // position, so equidistant denser candidates are common), with a small
   // query set and the smallest query set whose estimated work reaches
@@ -64,7 +76,7 @@ class ExactDependentsSpec extends SparkSpec {
     assert(TestUtil.sparkWork(spark) {
       assert(TestUtil.broadcastsIn(spark) {
         assert(TestUtil.sharesIn { out = ExactDependents.compute(spark, pts, rho, all, small) } === 0)
-        assert(TestUtil.sharesIn { dep = ExactDependents.search(spark, tree, pts, rho, all, small)._1 } === 0)
+        assert(TestUtil.sharesIn { dep = search(tree, pts, rho, all, small)._1 } === 0)
       } === 0)
     } === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
     assert(out.map(_._2).toSeq === dep.toSeq)
@@ -86,7 +98,7 @@ class ExactDependentsSpec extends SparkSpec {
     var entries = 0L
     assert(TestUtil.sparkWork(spark) {
       bcasts = TestUtil.broadcastsIn(spark) {
-        entries = TestUtil.sharesIn(ExactDependents.search(spark, tree, pts, rho, all, big))
+        entries = TestUtil.sharesIn(search(tree, pts, rho, all, big))
       }
     } === expected)
     assert(bcasts === expected._2)
@@ -165,7 +177,7 @@ class ExactDependentsSpec extends SparkSpec {
     val rho      = Array.fill(pts.n)(Double.NaN)
     universe.foreach(i => rho(i) = full(i))
     val tree = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
-    val (dep, delta) = ExactDependents.search(spark, tree, pts, rho, universe, universe)
+    val (dep, delta) = search(tree, pts, rho, universe, universe)
     val out = Array.tabulate(universe.length)(k => (universe(k), dep(k), delta(k)))
     assert(out.toSeq === ExactDependents.compute(spark, pts, rho, universe, universe).toSeq)
     checkAll(pts, rho, universe, universe, out, q => bruteOver(pts, rho, universe, q))
@@ -184,12 +196,12 @@ class ExactDependentsSpec extends SparkSpec {
     assert(TestUtil.sparkWork(spark) {
       assert(TestUtil.broadcastsIn(spark) {
         assert(TestUtil.sharesIn {
-          dep0 = ExactDependents.search(spark, tree, pts, rho, Array.range(0, pts.n), Array.empty)._1
+          dep0 = search(tree, pts, rho, Array.range(0, pts.n), Array.empty)._1
         } === 0)
       } === 0)
     } === ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
     assert(dep0.isEmpty)
-    val (dep1, delta1) = ExactDependents.search(spark, tree, pts, rho, Array.empty, Array(3))
+    val (dep1, delta1) = search(tree, pts, rho, Array.empty, Array(3))
     assert(dep1.toSeq === Seq(-1) && delta1.toSeq === Seq(Double.PositiveInfinity))
   }
 

@@ -1,7 +1,6 @@
 package repro.core
 
 import java.util.concurrent.{CyclicBarrier, TimeUnit}
-import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.TaskContext
 import repro.{SparkSpec, TestUtil}
 import scala.concurrent.{blocking, Await, Future}
@@ -122,8 +121,9 @@ class ParSpec extends SparkSpec {
     val sc = spark.sparkContext
     val work = TestUtil.sparkWork(spark) {
       val groups = Par.lpt(Array.tabulate(400)(i => (i % 5 + 1).toDouble), math.max(2, sc.defaultParallelism))
-      val out    = Par.mapGroups(spark, groups)(idxs => idxs.map(_ * 0.5))
-      assert(Par.scatter(400, groups, out).toSeq === (0 until 400).map(_ * 0.5))
+      val out    = new Array[Double](400)
+      Par.mapGroups(spark, groups)(_.foreach(i => out(i) = i * 0.5))
+      assert(out.toSeq === (0 until 400).map(_ * 0.5))
     }
     assert(work === ((1, 1, 0L)), "(jobs, stages, shuffle bytes)")
   }
@@ -150,8 +150,14 @@ class ParSpec extends SparkSpec {
     assert(local(0)._1, "f ran inside a Spark task")
     assert(!fanned(0)._1, "f did not run inside a Spark task")
     assert(local(0)._2.toSeq === fanned(0)._2.toSeq)
-    assert(Par.scatter(8, Array(group), Array(local(0)._2)).toSeq ===
-      Par.scatter(8, Array(group, Array.empty[Int]), fanned.map(_._2)).toSeq)
+    // Both paths write the same values in place at the group's items.
+    val written = Seq(Array(group), Array(group, Array.empty[Int])).map { groups =>
+      val out = new Array[Double](8)
+      Par.mapGroups(spark, groups)(idxs => idxs.foreach(i => out(i) = i * 0.5 + 1.0))
+      out.toSeq
+    }
+    assert(written(0) === written(1))
+    assert(written(0) === (0 until 8).map(i => if (group.contains(i)) i * 0.5 + 1.0 else 0.0))
   }
 
   test("sized gives one group below FanOutWork and one round-robin group per core from it on") {
@@ -172,55 +178,6 @@ class ParSpec extends SparkSpec {
     // 5 opens group 0, the 3s (items 1 then 2) open groups 1 and 2, and the 1
     // joins group 1, the lower of the two groups loaded 3.
     assert(Par.lpt(Array(1.0, 3.0, 3.0, 5.0), 3).map(_.toSeq).toSeq === Seq(Seq(3), Seq(1, 0), Seq(2)))
-  }
-
-  test("mapItems runs the kernel once per item and the factory once per group, placed by item index") {
-    val rnd = new Random(73)
-    val n   = 1013
-    for (groups <- Seq(Par.lpt(Array.fill(n)(rnd.nextDouble()), 6), Par.indexed(spark, n), Par.ranges(n, 7))) {
-      // The tasks update the driver's own counters, concurrently.
-      val factories = new AtomicLong
-      val items     = new AtomicLong
-      val ints = Par.mapItems(spark, n, groups) { () =>
-        factories.incrementAndGet()
-        i => { items.incrementAndGet(); 3 * i + 1 }
-      }
-      val doubles = Par.mapItems(spark, n, groups)(() => i => i * 0.5)
-      assert(ints.toSeq === (0 until n).map(3 * _ + 1))
-      assert(doubles.toSeq === (0 until n).map(_ * 0.5))
-      assert((factories.get, items.get) === ((groups.length.toLong, n.toLong)))
-    }
-  }
-
-  test("mapItems runs one group on the driver with no Spark job, and n = 0 gives an empty array") {
-    var out = Array.empty[Int]
-    assert(TestUtil.sparkWork(spark) { out = Par.mapItems(spark, 5, Array(Array(3, 0, 4, 1, 2)))(() => i => i * i) } ===
-      ((0, 0, 0L)), "(jobs, stages, shuffle bytes)")
-    assert(out.toSeq === Seq(0, 1, 4, 9, 16))
-    assert(Par.mapItems(spark, 0, Par.indexed(spark, 0))(() => _ => 1.0).isEmpty)
-    assert(Par.mapItems(spark, 0, Par.lpt(Array.empty[Double], 4))(() => i => i).isEmpty)
-  }
-
-  test("scatter puts each block value at its group's item index") {
-    // Groups out of order, with empty groups among them.
-    val groups = Array(Array(4, 0), Array.empty[Int], Array(2), Array(5, 1, 3), Array.empty[Int])
-    val blocks = groups.map(_.map(i => i * 10.0 + 0.5))
-    assert(Par.scatter(6, groups, blocks).toSeq === (0 until 6).map(i => i * 10.0 + 0.5))
-    assert(Par.scatter(6, groups, groups.map(_.map(i => -i))).toSeq === (0 until 6).map(-_))
-    assert(Par.scatter(0, Array.empty[Array[Int]], Array.empty[Array[Double]]).isEmpty)
-    intercept[IllegalArgumentException](Par.scatter(6, groups, blocks.updated(3, Array(1.0))))
-  }
-
-  test("scatter inverts LPT, round-robin and range groups") {
-    val rnd   = new Random(72)
-    val n     = 1013
-    val costs = Array.fill(n)(rnd.nextInt(9).toDouble + 1)
-    val keys  = Array.fill(n)(rnd.nextLong())
-    for (groups <- Seq(Par.lpt(costs, 6), Par.indexed(spark, n), Par.ranges(n, 7))) {
-      assert(groups.flatten.sorted.toSeq === (0 until n))
-      assert(Par.scatter(n, groups, groups.map(_.map(i => keys(i).toDouble))).toSeq === keys.map(_.toDouble).toSeq)
-      assert(Par.scatter(n, groups, groups.map(_.map(i => keys(i).toInt))).toSeq === keys.map(_.toInt).toSeq)
-    }
   }
 
   test("a task writes through a captured array to the driver's own array") {
@@ -248,7 +205,7 @@ class ParSpec extends SparkSpec {
     assert(live.forall(identity), "a task ran with no live entry")
     assert(TestUtil.sharesIn(Par.mapGroups(spark, Array(Array.range(0, 100)))(_.sum)) === 0)
     assert(TestUtil.sharesIn(Par.mapGroups(spark, Array.empty[Array[Int]])(_.sum)) === 0)
-    assert(TestUtil.sharesIn(Par.mapItems(spark, 100, Par.indexed(spark, 100))(() => i => i)) === 1)
+    assert(TestUtil.sharesIn(Density.rho(spark, 100, Par.indexed(spark, 100))(() => i => i)) === 1)
   }
 
   test("two fan-outs on two driver threads at once each read only their own captures") {
