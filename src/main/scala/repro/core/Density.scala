@@ -6,16 +6,16 @@ import org.apache.spark.sql.SparkSession
   * that counts each point's neighbours on its own (§3; Scan, R-tree + Scan,
   * CFSFDP-A, LSH-DDP and Ex-DPC).
   *
-  * A caller supplies its groups and a kernel factory, which each task of
-  * [[Par.mapGroups]] calls once to make its per-item kernel. The kernel
-  * returns a count: the number of *other* points strictly within `d_cut` of
-  * point `i`, exact or, for LSH-DDP, approximate. The helper adds the (0,1)
-  * tie-break [[Jitter]].
+  * A caller supplies its groups and a kernel factory, which
+  * [[Par.mapGroups]] calls once per group to make its per-item kernel. The
+  * kernel returns a count: the number of *other* points strictly within
+  * `d_cut` of point `i`, exact or, for LSH-DDP, approximate. The helper adds
+  * the (0,1) tie-break [[Jitter]].
   */
 object Density {
 
-  /** `rho` of `0 until n`: each task writes `count(i) + Jitter.frac(i)` at
-    * the points `i` of its group, with `count` made by `kernel`.
+  /** `rho` of `0 until n`: each group's call writes `count(i) +
+    * Jitter.frac(i)` at its points `i`, with `count` made by `kernel`.
     */
   def rho(spark: SparkSession, n: Int, groups: Array[Array[Int]])(kernel: () => Int => Int): Array[Double] = {
     val rho = new Array[Double](n)

@@ -7,10 +7,10 @@ import repro.kdtree.MaxRhoKdTree
   * dependent point, the nearest point of strictly higher density.
   *
   * A caller supplies the queries, groups of their positions, its output
-  * arrays and a kernel factory, which each task of [[Par.mapGroups]] calls
-  * once to make its per-item kernel: the kernel returns the dependent id of
-  * the query at a position, or -1 if it has none, and fixes the tie rule
-  * among equidistant candidates. Each task writes its own queries' entries.
+  * arrays and a kernel factory, which [[Par.mapGroups]] calls once per group
+  * to make its per-item kernel: the kernel returns the dependent id of the
+  * query at a position, or -1 if it has none, and fixes the tie rule among
+  * equidistant candidates. Each group's call writes its own queries' entries.
   */
 object Dependents {
 

@@ -6,11 +6,11 @@ import repro.kdtree.{KdTree, MaxRhoKdTree}
 /** Ex-DPC (§3): the exact algorithm.
   *
   * Densities: one range count per point on a static [[MaxRhoKdTree]] through
-  * [[Density]], parallelized across Spark tasks with dynamic oversubscription
-  * (the paper's `omp parallel for schedule(dynamic)`); each task counts a
-  * contiguous slice of the tree's leaf order ([[Par.sliced]]), so the points
-  * of one task search the same few subtrees. The tasks read the driver's
-  * points and tree in place.
+  * [[Density]], as the paper's `omp parallel for schedule(dynamic)`: the
+  * points are cut into more groups than cores, contiguous slices of the
+  * tree's leaf order ([[Par.sliced]]), so the points of one group search the
+  * same few subtrees, and one Spark task per core claims the next group as it
+  * finishes the last. The tasks read the driver's points and tree in place.
   *
   * Dependent points (the delta phase: the density-order sort and this loop):
   * the kd-tree is destroyed and rebuilt *incrementally* in descending density

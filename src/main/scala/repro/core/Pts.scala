@@ -62,13 +62,14 @@ object Pts {
 
   /** Collect a point DataFrame `(id, x0..x{d-1})` into a [[Pts]], ordered by id.
     *
-    * One Spark job over the frame's own plan packs each partition into a
-    * [[Block]] of primitive arrays; the driver orders the rows by id with a
-    * radix argsort. Other columns are ignored. Rejects, with an
-    * `IllegalArgumentException`, a frame with no coordinate columns, columns
-    * named `x` and digits that are not exactly `x0 .. x{d-1}`, an `id`
-    * that is not `bigint` or a coordinate that is not `double`, no rows, a
-    * null id or coordinate, a NaN or infinite coordinate, and a duplicate id.
+    * One Spark job over the frame's own plan ([[Par.runPartitions]]) packs
+    * each partition into a [[Block]] of primitive arrays; the driver orders
+    * the rows by id with a radix argsort. Other columns are ignored. Rejects,
+    * with an `IllegalArgumentException`, a frame with no coordinate columns,
+    * columns named `x` and digits that are not exactly `x0 .. x{d-1}`, an
+    * `id` that is not `bigint` or a coordinate that is not `double`, no rows,
+    * a null id or coordinate, a NaN or infinite coordinate, and a duplicate
+    * id.
     */
   def fromDF(df: DataFrame): Pts = {
     val schema = df.schema
@@ -87,7 +88,7 @@ object Pts {
     }
     val idCol  = column("id", LongType)
     val xIdx   = xCols.map(column(_, DoubleType))
-    val blocks = df.queryExecution.toRdd.mapPartitions(rows => Iterator.single(Block.pack(rows, idCol, xIdx))).collect()
+    val blocks = Par.runPartitions(df.queryExecution.toRdd)(rows => Block.pack(rows, idCol, xIdx))
 
     require(!blocks.exists(_.nullId), "point with a null id")
     val n = blocks.iterator.map(_.ids.length.toLong).sum

@@ -160,29 +160,42 @@ object TestUtil {
     * completed stages it ran and the shuffle bytes its tasks wrote.
     */
   def sparkWork(spark: SparkSession)(body: => Unit): (Int, Int, Long) = {
+    val w = work(spark)(body)
+    (w.jobs, w.stages, w.shuffleBytes)
+  }
+
+  /** What [[sparkWork]] counts, and the number of tasks each job ran, in job
+    * order.
+    */
+  final case class Work(jobs: Int, stages: Int, shuffleBytes: Long, jobTasks: Seq[Int])
+
+  /** Runs `body` under its own job group and returns the [[Work]] it did. */
+  def work(spark: SparkSession)(body: => Unit): Work = {
     val sc = spark.sparkContext
     val group = "TestUtil-work"
     val marker = "TestUtil-marker"
-    val jobs = mutable.Set.empty[Int]
+    val jobOfStage = mutable.Map.empty[Int, Int]
+    val tasks = mutable.SortedMap.empty[Int, Int]
     val markerJobs = mutable.Set.empty[Int]
-    val stages = mutable.Set.empty[Int]
     val completed = mutable.Set.empty[Int]
     var shuffleBytes = 0L
     val markerDone = new java.util.concurrent.CountDownLatch(1)
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
         Option(e.properties).map(_.getProperty("spark.jobGroup.id")) match {
-          case Some(`group`) => jobs += e.jobId; stages ++= e.stageIds
+          case Some(`group`) => tasks(e.jobId) = 0; e.stageIds.foreach(jobOfStage(_) = e.jobId)
           case Some(`marker`) => markerJobs += e.jobId
           case _ => ()
         }
       }
       override def onStageCompleted(e: SparkListenerStageCompleted): Unit = synchronized {
-        if (stages.contains(e.stageInfo.stageId)) completed += e.stageInfo.stageId
+        if (jobOfStage.contains(e.stageInfo.stageId)) completed += e.stageInfo.stageId
       }
       override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
-        if (stages.contains(e.stageId) && e.taskMetrics != null)
-          shuffleBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten
+        jobOfStage.get(e.stageId).foreach { job =>
+          tasks(job) += 1
+          if (e.taskMetrics != null) shuffleBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten
+        }
       }
       override def onJobEnd(e: SparkListenerJobEnd): Unit = synchronized {
         if (markerJobs.contains(e.jobId)) markerDone.countDown()
@@ -201,6 +214,6 @@ object TestUtil {
       sc.clearJobGroup()
       sc.removeSparkListener(listener)
     }
-    listener.synchronized((jobs.size, completed.size, shuffleBytes))
+    listener.synchronized(Work(tasks.size, completed.size, shuffleBytes, tasks.values.toSeq))
   }
 }

@@ -92,6 +92,18 @@ class ExactAlgosSpec extends SparkSpec {
     }
   }
 
+  // A fan-out runs at most one task per core, and loading the frame one task
+  // per partition of it.
+  for (algo <- Seq[DPCAlgorithm](ScanDPC, RTreeScanDPC, CFSFDPA, LSHDDP, ExDPC, ApproxDPC, SApproxDPC)) {
+    test(s"${algo.name}: no Spark job has more tasks than cores or input partitions") {
+      val df    = Pts.toDF(spark, TestUtil.clusteredPts(2000, 2, k = 3, sigma = 30.0, domain = 1000.0, seed = 514))
+      val bound = math.max(spark.sparkContext.defaultParallelism, df.rdd.getNumPartitions)
+      val work  = TestUtil.work(spark)(algo.run(spark, Pts.fromDF(df), DPCParams(dcut = 40.0)))
+      assert(work.jobs >= 2, "loading the frame and at least one fan-out")
+      assert(work.jobTasks.max <= bound, s"tasks per job ${work.jobTasks.mkString(", ")} over $bound")
+    }
+  }
+
   test("ScanDependents leaves no registry entry when a task fails") {
     // rho names 1000 points but there are 10, so every task fails to copy
     // the rows of its Columns.

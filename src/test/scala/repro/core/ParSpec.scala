@@ -1,11 +1,14 @@
 package repro.core
 
-import java.util.concurrent.{CyclicBarrier, TimeUnit}
-import org.apache.spark.TaskContext
+import java.lang.management.ManagementFactory
+import java.nio.file.{Files, Paths}
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, CyclicBarrier, TimeUnit}
+import org.apache.spark.{SparkException, TaskContext}
 import repro.{SparkSpec, TestUtil}
 import scala.concurrent.{blocking, Await, Future}
 import scala.concurrent.ExecutionContext.Implicits.global
 import scala.concurrent.duration._
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 /** LPT scheduling + Spark fan-out semantics, and the registry through which
@@ -87,6 +90,27 @@ class ParSpec extends SparkSpec {
   private val taskOfGroup: Array[Int] => (Int, Seq[Int]) =
     idxs => (TaskContext.getPartitionId(), idxs.toSeq)
 
+  /** Runs `call`, whose `f` is the one it is given, over `groups`, and checks
+    * the fan-out contract: one job of one stage, no shuffle bytes and
+    * `min(groups, cores)` tasks; each group handed to `f` exactly once, group
+    * `t < tasks` by task `t`; results in group order. Returns the results.
+    */
+  private def assertClaimed(groups: Seq[Seq[Int]])(
+      call: (Array[Int] => (Int, Seq[Int])) => Array[(Int, Seq[Int])]): Array[(Int, Seq[Int])] = {
+    val tasks = math.min(groups.length, spark.sparkContext.defaultParallelism)
+    val calls = new ConcurrentLinkedQueue[Seq[Int]]
+    val inTask = taskOfGroup // a local copy, so the closure does not capture the suite
+    var seen  = Array.empty[(Int, Seq[Int])]
+    val work  = TestUtil.work(spark) { seen = call { g => calls.add(g.toSeq); inTask(g) } }
+    assert(work === TestUtil.Work(1, 1, 0L, Seq(tasks)), "(jobs, stages, shuffle bytes, tasks per job)")
+    // f never leaves the driver's JVM, so every call reached the driver's queue.
+    assert(calls.asScala.toSeq.sortBy(_.head) === groups.sortBy(_.head), "groups handed to f")
+    assert(seen.map(_._2).toSeq === groups, "results in group order")
+    assert(seen.map(_._1).distinct.sorted.toSeq === (0 until tasks), "task ids")
+    (0 until tasks).foreach(t => assert(seen(t)._1 === t, s"group $t ran in task ${seen(t)._1}"))
+    seen
+  }
+
   /** Each group was handed to `f` once, by a task that saw no other group. */
   private def assertOneTaskPerGroup(seen: Array[(Int, Seq[Int])], groups: Seq[Seq[Int]]): Unit = {
     assert(seen.map(_._2.sorted).sortBy(_.head).toSeq === groups.map(_.sorted).sortBy(_.head))
@@ -103,17 +127,14 @@ class ParSpec extends SparkSpec {
     assertOneTaskPerGroup(seen, groups.map(_.toSeq).toSeq)
   }
 
-  test("mapIndexed runs each round-robin group in its own task") {
-    val n      = 1000
-    val parts  = spark.sparkContext.defaultParallelism * Par.Oversub
-    val inTask = taskOfGroup // a local copy, so the closure does not capture the suite
-    val seen   = Par.mapIndexed(spark, n)(g => Iterator.single(inTask(g)))
-    assertOneTaskPerGroup(seen, (0 until parts).map(g => g until n by parts))
+  test("mapIndexed: one task per core claims the round-robin groups") {
+    val n     = 1000
+    val parts = spark.sparkContext.defaultParallelism * Par.Oversub
+    assertClaimed((0 until parts).map(g => g until n by parts))(f => Par.mapIndexed(spark, n)(g => Iterator.single(f(g))))
   }
 
-  test("mapGroups runs each static range in its own task") {
-    val seen = Par.mapGroups(spark, Par.ranges(100, 7))(taskOfGroup)
-    assertOneTaskPerGroup(seen, (0 until 100).grouped(15).toSeq)
+  test("mapGroups: one task per core claims the static ranges") {
+    val seen = assertClaimed((0 until 100).grouped(15).toSeq)(Par.mapGroups(spark, Par.ranges(100, 7))(_))
     seen.foreach { case (_, g) => assert(g === (g.head to g.last), s"task saw a non-contiguous range $g") }
   }
 
@@ -128,14 +149,59 @@ class ParSpec extends SparkSpec {
     assert(work === ((1, 1, 0L)), "(jobs, stages, shuffle bytes)")
   }
 
-  test("mapGroups runs each group in its own task of one stage, writes no shuffle bytes, keeps group order") {
+  test("mapGroups: one stage of a task per core claims the groups, in group order") {
     val groups = Array(Array(5, 1), Array(0), Array(2, 3, 4, 9), Array(8), Array(7, 6))
-    var seen   = Array.empty[(Int, Seq[Int])]
-    val work   = TestUtil.sparkWork(spark) { seen = Par.mapGroups(spark, groups)(taskOfGroup) }
-    assert(work === ((1, 1, 0L)), "(jobs, stages, shuffle bytes)")
-    assert(seen.map(_._2).toSeq === groups.map(_.toSeq).toSeq)
-    assertOneTaskPerGroup(seen, groups.map(_.toSeq).toSeq)
+    assertClaimed(groups.map(_.toSeq).toSeq)(Par.mapGroups(spark, groups)(_))
     assert(Par.mapGroups(spark, Array.empty[Array[Int]])(_.length).isEmpty)
+  }
+
+  test("runPartitions keeps partition order when partitions finish out of order") {
+    val parts = 4
+    // Partition 0 finishes last: it waits for the others, which can all run
+    // while it waits when there are two cores or more.
+    val outOfOrder = spark.sparkContext.defaultParallelism >= 2
+    ParSpec.othersDone = new CountDownLatch(parts - 1)
+    ParSpec.finished.clear()
+    val rdd = spark.sparkContext.parallelize(0 until parts * 10, parts)
+    val out = Par.runPartitions(rdd) { it =>
+      val p = TaskContext.getPartitionId()
+      if (p > 0) ParSpec.othersDone.countDown()
+      else if (outOfOrder) ParSpec.othersDone.await(60, TimeUnit.SECONDS)
+      ParSpec.finished.add(p)
+      (p, it.sum)
+    }
+    assert(out.toSeq === (0 until parts).map(p => (p, (p * 10 until p * 10 + 10).sum)))
+    if (outOfOrder) assert(ParSpec.finished.asScala.toSeq.last === 0, "finish order")
+  }
+
+  test("a claimed group that throws fails the fan-out with its exception as a cause") {
+    val groups = Par.indexed(spark, 1000)
+    val bad    = groups.length - 1 // no task starts on it, so one claims it
+    assert(bad >= spark.sparkContext.defaultParallelism)
+    var e: SparkException = null
+    TestUtil.assertReleases(spark) {
+      e = intercept[SparkException] {
+        Par.mapGroups(spark, groups)(g => if (g.head == bad) throw new IllegalStateException(s"group $bad") else g.length)
+      }
+    }
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists(c => c.isInstanceOf[IllegalStateException] && c.getMessage == s"group $bad"), causes.mkString("; "))
+  }
+
+  test("under a master that retries tasks, a claimed group that failed runs again or fails the fan-out") {
+    // ParRetryCheck starts its own local[2,2] SparkContext, so it runs in a
+    // JVM of its own, with this JVM's options and class path.
+    val jvm  = ManagementFactory.getRuntimeMXBean.getInputArguments.asScala.filterNot(_.startsWith("-Xmx"))
+    val java = Paths.get(sys.props("java.home"), "bin", "java").toString
+    val cmd  = Seq(java) ++ jvm ++ Seq("-Xmx512m", "-cp", sys.props("java.class.path"), "repro.core.ParRetryCheck")
+    val log  = Files.createTempFile("ParRetryCheck", ".log")
+    try {
+      val p = new ProcessBuilder(cmd: _*).redirectErrorStream(true).redirectOutput(log.toFile).start()
+      if (!p.waitFor(300, TimeUnit.SECONDS)) p.destroyForcibly().waitFor()
+      val out = new String(Files.readAllBytes(log))
+      assert(p.exitValue() === 0, out)
+      assert(out.linesIterator.filter(_.startsWith("ok ")).toSeq === Seq("ok a group that fails once", "ok a group that always fails"), out)
+    } finally Files.deleteIfExists(log)
   }
 
   test("a one-group call runs f on the driver with no Spark job and returns what the Spark path returns") {
@@ -235,4 +301,12 @@ class ParSpec extends SparkSpec {
     Seq("local-cluster[2,1,1024]", "spark://h:7077", "yarn", "k8s://h:443", "localhost", "local[4")
       .foreach(m => assert(!Par.isLocal(m), m))
   }
+}
+
+object ParSpec {
+  /** State the tasks of one test share: a task captures them by reference
+    * through this object, not as a serialized copy.
+    */
+  @volatile var othersDone = new CountDownLatch(0)
+  val finished             = new ConcurrentLinkedQueue[Int]
 }
