@@ -18,11 +18,11 @@ import repro.lsh.LSHDDP
   * `baselineN` ids.
   *
   * Two checkouts give the same outputs exactly when their lines are equal,
-  * so `diff` of two runs compares a change with its parent. The inputs
-  * themselves depend on the core count: `PointGen` draws from `spark.range`,
-  * whose partition count is `defaultParallelism`, with `rand(seed)` seeded
-  * per partition. So the job first prints a header line with the master and
-  * `defaultParallelism`, and only runs with equal headers are comparable.
+  * so `diff` of two runs compares a change with its parent. The inputs do
+  * not depend on the core count (`PointGen` draws from a fixed
+  * [[repro.data.PointGen.Slices]] partitions), so runs under different
+  * masters are comparable too; the first line, a header with the master and
+  * `defaultParallelism`, is the only one that differs between them.
   */
 object DigestJob {
 

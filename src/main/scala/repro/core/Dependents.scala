@@ -135,17 +135,23 @@ object ExactDependents {
       depId: Array[Int],
       delta: Array[Double]
   ): Unit = {
-    val dens   = tree.densities(rho, universe)
     val groups = Par.sized(spark, queries.length, queries.length * queryWork(universe.length, pts.d))
-    // The dependent id of the query at a position: the smallest id among the
-    // nearest points denser than it.
-    Dependents.search(spark, pts, queries, groups, depId, delta) { () =>
-      val q = new Array[Double](pts.d)
-      k => {
-        val i = queries(k)
-        System.arraycopy(pts.data, i * pts.d, q, 0, pts.d)
-        tree.denserNearest(q, rho(i), dens)._1
-      }
+    Dependents.search(spark, pts, queries, groups, depId, delta)(
+      kernel(tree, pts, rho, tree.densities(rho, universe), queries))
+  }
+
+  /** The [[Dependents.search]] kernel over `tree` under `dens`: the dependent
+    * id of the query at a position in `queries` is the smallest id among the
+    * nearest points denser than it.
+    */
+  def kernel(
+      tree: MaxRhoKdTree, pts: Pts, rho: Array[Double], dens: MaxRhoKdTree.Densities, queries: Array[Int]
+  ): () => Int => Int = { () =>
+    val q = new Array[Double](pts.d)
+    k => {
+      val i = queries(k)
+      System.arraycopy(pts.data, i * pts.d, q, 0, pts.d)
+      tree.denserNearest(q, rho(i), dens)._1
     }
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.kdtree.{KdTree, MaxRhoKdTree}
+import repro.kdtree.MaxRhoKdTree
 
 /** Ex-DPC (§3): the exact algorithm.
   *
@@ -13,14 +13,14 @@ import repro.kdtree.{KdTree, MaxRhoKdTree}
   * finishes the last. The tasks read the driver's points and tree in place.
   *
   * Dependent points (the delta phase: the density-order sort and this loop):
-  * the kd-tree is destroyed and rebuilt *incrementally* in descending density
-  * order — when point p is processed the tree holds exactly the points denser
-  * than p, so a plain NN search returns the true dependent point, the one
-  * with the smallest id among equidistant ones. The tree is the bucketed
-  * [[KdTree]] (leaves of up to 16 points with boxes); the loop's order is the
-  * paper's. This loop is inherently sequential (each step mutates the tree)
-  * and runs on the driver — the very limitation the paper's thread-scaling
-  * experiment demonstrates.
+  * the paper rebuilds a kd-tree incrementally in descending density order,
+  * so that it holds exactly the points denser than the current one. The
+  * density phase's tree, with each node's largest density attached, prunes
+  * its search to that same set (Bentley's semidynamic activation): each step
+  * is one [[MaxRhoKdTree.denserNearest]], the smallest id among equidistant
+  * denser points. The loop keeps the paper's order and runs as one group on
+  * the driver, with no Spark job: the single thread of §3, Ex-DPC's limit in
+  * the paper's thread-scaling experiment.
   */
 object ExDPC extends DPCAlgorithm {
   override val name = "Ex-DPC"
@@ -30,7 +30,8 @@ object ExDPC extends DPCAlgorithm {
     val d    = pts.d
     val dcut = params.dcut
 
-    val tree = run.rho(MaxRhoKdTree.build(pts, Array.range(0, n)))
+    val all  = Array.range(0, n)
+    val tree = run.rho(MaxRhoKdTree.build(pts, all))
     val rho = run.rho(Density.rho(spark, n, Par.sliced(spark, tree.leafOrder)) { () =>
       val q = new Array[Double](d)
       i => {
@@ -39,29 +40,14 @@ object ExDPC extends DPCAlgorithm {
       }
     })
 
-    // Sequential incremental phase (driver = the single thread of §3).
-    val (depId, delta, inc) = run.delta {
+    val depId = new Array[Int](n)
+    val delta = new Array[Double](n)
+    run.delta {
       val order = Order.descending(rho)
-      val inc   = new KdTree(pts)
-      val depId = new Array[Int](n)
-      val delta = new Array[Double](n)
-      val q     = new Array[Double](d)
-      var r = 0
-      while (r < n) {
-        val i = order(r)
-        if (r == 0) { depId(i) = -1; delta(i) = Double.PositiveInfinity }
-        else {
-          System.arraycopy(pts.data, i * d, q, 0, d)
-          val (j, dd) = inc.nearest(q)
-          depId(i) = j
-          delta(i) = dd
-        }
-        inc.insert(i)
-        r += 1
-      }
-      (depId, delta, inc)
+      Dependents.search(spark, pts, order, Array(all), depId, delta)(
+        ExactDependents.kernel(tree, pts, rho, tree.densities(rho, all), order))
     }
 
-    new DPCResult(rho, depId, delta, run.times, math.max(tree.memBytes, inc.memBytes))
+    new DPCResult(rho, depId, delta, run.times, MaxRhoKdTree.memBytes(n, d))
   }
 }

@@ -12,6 +12,11 @@ import scala.util.Random
   */
 object PointGen {
 
+  /** Partitions of the id range a mixture draws from: `rand(seed)` is seeded
+    * per partition, so a fixed count gives the same points under any master.
+    */
+  final val Slices = 4
+
   /** Gaussian mixture + uniform background noise, clipped to [0, domain]^d.
     *
     * @param centers   component centers (k x d)
@@ -32,7 +37,7 @@ object PointGen {
     require(sigmas.length == centers.length, "sigmas/centers mismatch")
     val k = centers.length
     val base = spark
-      .range(n)
+      .range(0, n, 1, Slices)
       .withColumn("comp", (rand(seed + 1) * k).cast("int"))
       .withColumn("noise", rand(seed + 2) < noiseRate)
     val sigmaArr = array(sigmas.map(lit(_)).toIndexedSeq: _*)

@@ -7,12 +7,12 @@ import repro.core.Pts
   * Yesantharao, Wang, Dhulipala & Shun ("Parallel Batch-Dynamic kd-Trees",
   * 2021) are.
   *
-  * Serves Ex-DPC's dependent-point phase, which rebuilds "an optimal kd-tree
-  * incrementally" in density order: incremental [[insert]] and bounded
-  * nearest-neighbour search ([[nearest]]). A balanced bulk build
+  * No algorithm uses it: every density and dependent-point phase searches a
+  * [[MaxRhoKdTree]]. It remains for the benchmark's layer timings, which
+  * replay the paper's incremental Ex-DPC loop ([[insert]], bounded
+  * nearest-neighbour search [[nearest]]) and time a balanced bulk build
   * ([[buildFrom]], median split on the widest axis of each node's box) and a
-  * strict [[rangeCount]] remain for the benchmark's layer timings; every
-  * density phase counts on [[MaxRhoKdTree]] instead.
+  * strict [[rangeCount]].
   *
   * Layout: a leaf holds up to [[MaxRhoKdTree.LeafSize]] points in one block of
   * pooled slots, `ids(b * LeafSize + s)` and their coordinates at
@@ -31,8 +31,7 @@ import repro.core.Pts
   *
   * Searches are loops over an explicit stack of `height + 2` slots, so a
   * degenerate tree (e.g. a spine of sorted inserts) costs time, not call
-  * depth. Searches keep their state in the call frame. Only the driver's
-  * sequential Ex-DPC loop searches the tree, between its inserts.
+  * depth. Searches keep their state in the call frame.
   */
 final class KdTree(val pts: Pts) extends Serializable {
   import KdTree._
@@ -79,7 +78,7 @@ final class KdTree(val pts: Pts) extends Serializable {
     } else {
       val ax  = widestAxis(nd)
       val mid = (lo + hi) >>> 1
-      selectMedian(pts, a, lo, hi, mid, ax)
+      MaxRhoKdTree.selectMedian(pts, a, lo, hi, mid, ax)
       val c = newNodes(2)
       split(nd, c, ax, pts.coord(a(mid), ax))
       link(nd * Ints + Count) = hi - lo
@@ -353,12 +352,6 @@ final class KdTree(val pts: Pts) extends Serializable {
     }
     if (bestId < 0) (-1, Double.PositiveInfinity) else (bestId, math.sqrt(bestD2))
   }
-
-  /** Modelled footprint: per node its record of `2d + 1` doubles and four
-    * ints, per leaf block [[MaxRhoKdTree.LeafSize]] slots of an id and `d`
-    * coordinates.
-    */
-  def memBytes: Long = nodes.toLong * (16L + 8L * rec) + blocks.toLong * LeafSize * (4L + 8L * d)
 }
 
 object KdTree {
@@ -372,31 +365,4 @@ object KdTree {
   private final val Axis  = 1
   private final val Block = 2
   private final val Count = 3
-
-  /** Quickselect: after the call, a(k) holds the k-th order statistic of
-    * a(lo until hi) by coordinate `axis`, with smaller keys left of it.
-    */
-  private[kdtree] def selectMedian(pts: Pts, a: Array[Int], lo0: Int, hi0: Int, k: Int, axis: Int): Unit = {
-    var lo = lo0
-    var hi = hi0 - 1 // inclusive
-    var seed = (lo0 * 31 + hi0) | 1
-    while (lo < hi) {
-      seed = seed * 1103515245 + 12345
-      val pi    = lo + ((seed >>> 16) % (hi - lo + 1) + (hi - lo + 1)) % (hi - lo + 1)
-      val pivot = pts.coord(a(pi), axis)
-      var i = lo
-      var j = hi
-      while (i <= j) {
-        while (pts.coord(a(i), axis) < pivot) i += 1
-        while (pts.coord(a(j), axis) > pivot) j -= 1
-        if (i <= j) {
-          val t = a(i); a(i) = a(j); a(j) = t
-          i += 1; j -= 1
-        }
-      }
-      if (k <= j) hi = j
-      else if (k >= i) lo = i
-      else return
-    }
-  }
 }

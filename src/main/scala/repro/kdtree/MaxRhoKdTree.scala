@@ -27,6 +27,7 @@ final class MaxRhoKdTree private (
     first: Array[Int],     // node covers leaf slots first until last
     last: Array[Int],
     right: Array[Int],     // right child row, -1 for a leaf
+    minId: Array[Int],     // smallest id under the node
     boxLo: Array[Double],  // per node, d coordinates
     boxHi: Array[Double],
     height: Int
@@ -111,9 +112,9 @@ final class MaxRhoKdTree private (
     java.util.Arrays.copyOf(out, n)
   }
 
-  /** Number of points with dist(q, p) strictly below `r` (Definition 1), the
-    * same count as [[KdTree.rangeCount]]. A node whose box lies strictly inside
-    * the ball adds its size without visiting its points.
+  /** Number of points with dist(q, p) strictly below `r` (Definition 1). A
+    * node whose box lies strictly inside the ball adds its size without
+    * visiting its points.
     */
   def rangeCount(q: Array[Double], r: Double): Int = {
     val r2    = r * r
@@ -176,8 +177,10 @@ final class MaxRhoKdTree private (
     * Among points at the same distance the smallest id wins, so the answer
     * does not depend on the tree's shape. Squared distances are summed in
     * coordinate order, as [[Pts.dist2]] does, so they are bit-identical to it;
-    * and a box's distance never exceeds that of a point inside it, so pruning
-    * boxes strictly farther than the best point loses no tie.
+    * and a box's distance never exceeds that of a point inside it. So a node
+    * is searched only if its box is nearer than the best point, or as near
+    * and holding a smaller id: on many equidistant points (duplicates) the
+    * search stops at the smallest denser id instead of visiting them all.
     */
   def denserNearest(q: Array[Double], rhoQ: Double, dens: MaxRhoKdTree.Densities): (Int, Double) = {
     val rhos   = dens.rhos
@@ -185,7 +188,8 @@ final class MaxRhoKdTree private (
     var bestId = -1
     var bestD2 = Double.PositiveInfinity
     // Explicit DFS stack of (node, squared box distance). Each pop leaves at
-    // most one pending sibling per level, so height + 2 slots suffice.
+    // most one pending sibling per level, so height + 2 slots suffice. A node
+    // with no denser point is at +inf, which is never searched.
     val stackNode = new Array[Int](height + 2)
     val stackD2   = new Array[Double](height + 2)
     var top = 0
@@ -193,7 +197,8 @@ final class MaxRhoKdTree private (
     while (top > 0) {
       top -= 1
       val node = stackNode(top)
-      if (stackD2(top) <= bestD2) {
+      val nd2  = stackD2(top)
+      if (nd2 < bestD2 || (nd2 == bestD2 && minId(node) < bestId)) {
         val r = right(node)
         if (r < 0) {
           var s = first(node)
@@ -205,25 +210,23 @@ final class MaxRhoKdTree private (
             s += 1
           }
         } else {
-          val l  = node + 1
-          val dl = if (maxRho(l) > rhoQ) boxDist2(l, q) else Double.PositiveInfinity
-          val dr = if (maxRho(r) > rhoQ) boxDist2(r, q) else Double.PositiveInfinity
-          // Push the farther child first so that the nearer one is searched first.
-          val leftNear = dl <= dr
+          // Push the farther child first, so that the nearer one (of equally
+          // near ones, the one with the smaller id) is searched first.
+          val l        = node + 1
+          val dl       = if (maxRho(l) > rhoQ) boxDist2(l, q) else Double.PositiveInfinity
+          val dr       = if (maxRho(r) > rhoQ) boxDist2(r, q) else Double.PositiveInfinity
+          val leftNear = dl < dr || (dl == dr && minId(l) < minId(r))
+          val far      = if (leftNear) r else l
+          val near     = if (leftNear) l else r
           val dFar     = if (leftNear) dr else dl
           val dNear    = if (leftNear) dl else dr
-          if (dFar <= bestD2) { stackNode(top) = if (leftNear) r else l; stackD2(top) = dFar; top += 1 }
-          if (dNear <= bestD2) { stackNode(top) = if (leftNear) l else r; stackD2(top) = dNear; top += 1 }
+          if (dFar < bestD2 || (dFar == bestD2 && minId(far) < bestId)) { stackNode(top) = far; stackD2(top) = dFar; top += 1 }
+          if (dNear < bestD2 || (dNear == bestD2 && minId(near) < bestId)) { stackNode(top) = near; stackD2(top) = dNear; top += 1 }
         }
       }
     }
     if (bestId < 0) (-1, Double.PositiveInfinity) else (bestId, math.sqrt(bestD2))
   }
-
-  /** Modelled footprint of the geometry alone, as [[MaxRhoKdTree.memBytes]]
-    * without the densities.
-    */
-  def memBytes: Long = perm.length.toLong * (4L + 8L * d) + first.length.toLong * (12L + 16L * d)
 }
 
 object MaxRhoKdTree {
@@ -252,15 +255,18 @@ object MaxRhoKdTree {
     val first  = new Array[Int](nNodes)
     val last   = new Array[Int](nNodes)
     val right  = new Array[Int](nNodes)
+    val minId  = Array.fill(nNodes)(Int.MaxValue)
     val boxLo  = Array.fill(nNodes * d)(Double.PositiveInfinity)
     val boxHi  = Array.fill(nNodes * d)(Double.NegativeInfinity)
     var rows   = 0
     var height = 0
 
-    // Bounds of the points in leaf slots lo until hi, into node nd's box.
+    // Bounds and smallest id of the points in leaf slots lo until hi, into
+    // node nd's box and minId.
     def bound(nd: Int, lo: Int, hi: Int): Unit = {
       var s = lo
       while (s < hi) {
+        if (perm(s) < minId(nd)) minId(nd) = perm(s)
         val o = perm(s) * d
         var j = 0
         while (j < d) {
@@ -288,7 +294,7 @@ object MaxRhoKdTree {
         var j    = 1
         while (j < d) { if (cutHi(j) - cutLo(j) > cutHi(axis) - cutLo(axis)) axis = j; j += 1 }
         val mid = (lo + hi) >>> 1
-        KdTree.selectMedian(pts, perm, lo, hi, mid, axis)
+        selectMedian(pts, perm, lo, hi, mid, axis)
         val split = pts.coord(perm(mid), axis)
         val hi0   = cutHi(axis)
         cutHi(axis) = split
@@ -299,6 +305,7 @@ object MaxRhoKdTree {
         val r = node(mid, hi, depth + 1)
         cutLo(axis) = lo0
         right(nd) = r
+        minId(nd) = math.min(minId(l), minId(r))
         j = 0
         while (j < d) {
           boxLo(nd * d + j) = math.min(boxLo(l * d + j), boxLo(r * d + j))
@@ -318,7 +325,7 @@ object MaxRhoKdTree {
     val xs = new Array[Double](m * d)
     var s = 0
     while (s < m) { System.arraycopy(pts.data, perm(s) * d, xs, s * d, d); s += 1 }
-    new MaxRhoKdTree(d, perm, xs, first, last, right, boxLo, boxHi, height)
+    new MaxRhoKdTree(d, perm, xs, first, last, right, minId, boxLo, boxHi, height)
   }
 
   /** Nodes of a tree over `m` points: leaves hold at most [[LeafSize]] ids. */
@@ -327,8 +334,35 @@ object MaxRhoKdTree {
 
   /** Modelled bytes of a tree over `m` points in `R^d` with its densities:
     * the leaf-order ids, coordinates and densities, plus per node its slot
-    * range, right child, `maxRho` and bounding box.
+    * range, right child, smallest id, `maxRho` and bounding box.
     */
   def memBytes(m: Int, d: Int): Long =
-    m.toLong * (4L + 8L * d + 8L) + nodeCount(m).toLong * (12L + 8L + 16L * d)
+    m.toLong * (4L + 8L * d + 8L) + nodeCount(m).toLong * (12L + 4L + 8L + 16L * d)
+
+  /** Quickselect: after the call, a(k) holds the k-th order statistic of
+    * a(lo until hi) by coordinate `axis`, with smaller keys left of it.
+    */
+  private[kdtree] def selectMedian(pts: Pts, a: Array[Int], lo0: Int, hi0: Int, k: Int, axis: Int): Unit = {
+    var lo = lo0
+    var hi = hi0 - 1 // inclusive
+    var seed = (lo0 * 31 + hi0) | 1
+    while (lo < hi) {
+      seed = seed * 1103515245 + 12345
+      val pi    = lo + ((seed >>> 16) % (hi - lo + 1) + (hi - lo + 1)) % (hi - lo + 1)
+      val pivot = pts.coord(a(pi), axis)
+      var i = lo
+      var j = hi
+      while (i <= j) {
+        while (pts.coord(a(i), axis) < pivot) i += 1
+        while (pts.coord(a(j), axis) > pivot) j -= 1
+        if (i <= j) {
+          val t = a(i); a(i) = a(j); a(j) = t
+          i += 1; j -= 1
+        }
+      }
+      if (k <= j) hi = j
+      else if (k >= i) lo = i
+      else return
+    }
+  }
 }

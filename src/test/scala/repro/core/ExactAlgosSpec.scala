@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.SparkException
 import repro.{SparkSpec, TestUtil}
 import repro.cfsfdp.CFSFDPA
+import repro.kdtree.MaxRhoKdTree
 import repro.lsh.LSHDDP
 
 /** The four exact paths (Scan, R-tree + Scan, Ex-DPC, CFSFDP-A) must agree
@@ -161,13 +162,27 @@ class ExactAlgosSpec extends SparkSpec {
     }
   }
 
-  test("Ex-DPC: 20k identical points (one kd-tree leaf) give one root and zero deltas") {
+  test("Ex-DPC: 20k identical points give one root and zero deltas") {
     val n   = 20000
     val pts = Pts.fromArrays(2, Seq.fill(n)(Array(5.0, -7.0)))
     val r   = ExDPC.run(spark, pts, DPCParams(dcut = 1.0))
     assert(r.delta.count(_.isInfinity) === 1)
     assert(r.depId.count(_ == -1) === 1)
     assert(r.delta.count(_ == 0.0) === n - 1)
+    // Every point is at distance 0 from every denser one: the dependent point
+    // is the smallest id among the denser points.
+    var least = -1
+    Order.descending(r.rho).foreach { i =>
+      assert(r.depId(i) === least, s"depId($i)")
+      least = if (least < 0) i else math.min(least, i)
+    }
+  }
+
+  test("Ex-DPC models the memory of one kd-tree with its densities") {
+    for ((n, d) <- Seq((1, 2), (500, 2), (3000, 3))) {
+      val pts = TestUtil.uniformPts(n, d, 100.0, seed = 512L + n)
+      assert(ExDPC.run(spark, pts, DPCParams(dcut = 10.0)).memBytes === MaxRhoKdTree.memBytes(n, d))
+    }
   }
 
   // Every algorithm times its phases through one Run, and no fan-out of it

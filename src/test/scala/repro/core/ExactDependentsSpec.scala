@@ -207,6 +207,7 @@ class ExactDependentsSpec extends SparkSpec {
 
   test("memBytes models the tree's leaf-order arrays, node arrays and boxes") {
     assert(MaxRhoKdTree.nodeCount(1000) === 127) // 64 leaves of 15-16 ids
-    assert(MaxRhoKdTree.memBytes(1000, 3) === 1000L * (4 + 24 + 8) + 127L * (12 + 8 + 48))
+    // Per node: slot range and right child, smallest id, maxRho, box.
+    assert(MaxRhoKdTree.memBytes(1000, 3) === 1000L * (4 + 24 + 8) + 127L * (12 + 4 + 8 + 48))
   }
 }

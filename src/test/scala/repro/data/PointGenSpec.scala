@@ -1,5 +1,6 @@
 package repro.data
 
+import org.apache.spark.sql.catalyst.plans.logical.Range
 import repro.{SparkSpec, TestUtil}
 import repro.core.{DPCParams, ExDPC, Pts}
 
@@ -13,6 +14,14 @@ class PointGenSpec extends SparkSpec {
     val df = PointGen.mixture(spark, 500, 3, centers, Array.fill(4)(5.0), 0.1, 100.0, seed = 2)
     assert(df.columns.toSeq === Seq("id", "x0", "x1", "x2"))
     assert(df.count() === 500)
+  }
+
+  test("mixture: the id range has a fixed partition count, not one per core") {
+    val centers = PointGen.gridCenters(k = 2, d = 2, domain = 100.0, seed = 1)
+    val df      = PointGen.mixture(spark, 500, 2, centers, Array.fill(2)(5.0), 0.1, 100.0, seed = 2)
+    val slices  = df.queryExecution.logical.collectLeaves().collect { case r: Range => r.numSlices }
+    assert(slices === Seq(Some(PointGen.Slices)))
+    assert(PointGen.Slices === 4)
   }
 
   test("mixture: all coordinates within the domain") {

@@ -187,29 +187,4 @@ class KdTreeSpec extends AnyFunSuite {
     (39 to 0 by -1).foreach(wide.insert)
     assert(wide.nearest(Array(0.0)) === ((0, 1.0)))
   }
-
-  test("memBytes grows with size") {
-    val pts = TestUtil.uniformPts(500, 2, 10.0, seed = 8)
-    val t1  = new KdTree(pts).buildFrom((0 until 100).toArray)
-    val t2  = new KdTree(pts).buildAll()
-    assert(t2.memBytes > t1.memBytes)
-  }
-
-  test("memBytes models a record of 2d + 1 doubles and four ints per node and 16 slots per leaf") {
-    val d    = 3
-    val node = 16L + 8L * (2 * d + 1) // box lo, box hi, split key; four ints
-    val leaf = 16L * (4L + 8L * d)    // 16 slots of an id and d coordinates
-    val pts  = TestUtil.uniformPts(500, d, 10.0, seed = 9)
-    val bulkNodes = MaxRhoKdTree.nodeCount(500)
-    assert(new KdTree(pts).buildAll().memBytes === bulkNodes * node + (bulkNodes + 1) / 2 * leaf)
-    val inc = new KdTree(pts)
-    (0 until 16).foreach(inc.insert)
-    assert(inc.memBytes === node + leaf)
-    inc.insert(16) // the first split: two new leaves, one new block
-    assert(inc.memBytes === 3 * node + 2 * leaf)
-    // 50k points at one position stay one leaf.
-    val same = new KdTree(Pts.fromArrays(d, Seq.fill(50000)(Array(1.0, 2.0, 3.0))))
-    (0 until 50000).foreach(same.insert)
-    assert(same.memBytes === node + leaf)
-  }
 }

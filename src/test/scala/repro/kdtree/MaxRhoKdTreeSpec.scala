@@ -137,6 +137,73 @@ class MaxRhoKdTreeSpec extends AnyFunSuite {
     checkDenser(pts, rho, Array.range(0, pts.n), 0 until pts.n by 97)
   }
 
+  /** Asserts that every query `(q, rhoQ)` finds, under `rho`, the smallest id
+    * among the nearest points denser than `rhoQ`, as brute force over ids in
+    * ascending order does, with the distance bit for bit; returns how many
+    * queries had several such points.
+    */
+  private def checkTies(pts: Pts, rho: Array[Double], queries: Seq[(Array[Double], Double)]): Int = {
+    val tree = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
+    val dens = tree.densities(rho, Array.range(0, pts.n))
+    queries.count { case (q, rhoQ) =>
+      val d2  = Array.tabulate(pts.n)(j => if (rho(j) > rhoQ) pts.dist2To(j, q) else Double.PositiveInfinity)
+      val min = d2.min
+      val exp = if (min.isInfinity) (-1, Double.PositiveInfinity) else (d2.indexOf(min), math.sqrt(min))
+      val got = tree.denserNearest(q, rhoQ, dens)
+      assert(got._1 === exp._1 && java.lang.Double.compare(got._2, exp._2) == 0, s"query ${q.toSeq} above $rhoQ: $got, expected $exp")
+      d2.count(_ == min) > 1 && !min.isInfinity
+    }
+  }
+
+  // Quantized points put many points at one position and many pairs exactly
+  // equidistant from a query on the grid. Each density threshold leaves the
+  // denser points, as the paper's incremental tree holds after its inserts;
+  // the densities tie too, so "denser" must be strict.
+  for (d <- Seq(1, 2, 3, 5)) {
+    test(s"denserNearest takes the smallest denser id among equidistant points (d=$d)") {
+      val n    = 3000
+      val pts  = TestUtil.quantizedPts(n, d, k = 3, sigma = 30.0, domain = 200.0, step = 10.0, seed = 70L + d)
+      val rho  = Array.tabulate(n)(i => (i * 7 % 31).toDouble)
+      val rnd  = new Random(71L + d)
+      val grid = Seq.fill(40)(Array.fill(d)(10.0 * rnd.nextInt(21))) ++ Seq.fill(10)(pts.point(rnd.nextInt(n)))
+      val ties = checkTies(pts, rho, for (q <- grid; t <- -1 until 31) yield (q, t.toDouble))
+      assert(ties > 100, "the inputs must put several points at the nearest distance")
+    }
+  }
+
+  test("denserNearest takes the smallest id, not the near child, on a split-plane tie") {
+    // Ids 2k and 2k + 1 at k + 1 and -(k + 1): every pair ties around a query
+    // at 0, across the split at 0, for every density threshold.
+    val pts = Pts.fromArrays(1, (0 until 40).map(i => Array((i / 2 + 1.0) * (if (i % 2 == 0) 1 else -1))))
+    val rho = Array.tabulate(pts.n)(i => (i / 2).toDouble)
+    assert(checkTies(pts, rho, (-1 until 19).map(t => (Array(0.0), t.toDouble))) === 20)
+    val tree = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
+    assert(tree.denserNearest(Array(0.0), -1.0, tree.densities(rho, Array.range(0, pts.n))) === ((0, 1.0)))
+  }
+
+  test("20k identical points: each finds the smallest denser id at distance 0") {
+    val n   = 20000
+    val pts = Pts.fromArrays(2, Seq.fill(n)(Array(5.0, -7.0)))
+    val rho = Array.tabulate(n)(i => Jitter.frac(i))
+    val tree = MaxRhoKdTree.build(pts, Array.range(0, n))
+    val dens = tree.densities(rho, Array.range(0, n))
+    // Brute force for all n at once: by descending density, the smallest id so far.
+    val order = repro.core.Order.descending(rho)
+    var least = Int.MaxValue
+    order.foreach { i =>
+      val exp = if (least == Int.MaxValue) (-1, Double.PositiveInfinity) else (least, 0.0)
+      assert(tree.denserNearest(pts.point(i), rho(i), dens) === exp, s"query $i")
+      least = math.min(least, i)
+    }
+  }
+
+  test("a 30x30 lattice with about 22 points per position") {
+    val rnd = new Random(324)
+    val pts = Pts.fromArrays(2, Seq.fill(20000)(Array(rnd.nextInt(30).toDouble, rnd.nextInt(30).toDouble)))
+    val rho = Array.tabulate(pts.n)(i => rnd.nextInt(40) + Jitter.frac(i))
+    assert(checkTies(pts, rho, (0 until pts.n by 53).map(i => (pts.point(i), rho(i)))) > 100)
+  }
+
   test("an empty tree and an empty universe find nothing") {
     val pts   = TestUtil.uniformPts(30, 2, 10.0, seed = 323)
     val rho   = Array.tabulate(pts.n)(i => Jitter.frac(i))
