@@ -19,6 +19,9 @@ import repro.core.Pts
   * node is a row of the node arrays (pre-order, so an internal node's left
   * child is the next row) with its bounding box. The tree holds no reference
   * to the point set. Build it with [[MaxRhoKdTree.build]].
+  *
+  * It is `Serializable` only for the benchmark's broadcast layer, which
+  * broadcasts a [[KdTree]]; no algorithm serializes it.
   */
 final class MaxRhoKdTree private (
     d: Int,
@@ -31,7 +34,7 @@ final class MaxRhoKdTree private (
     boxLo: Array[Double],  // per node, d coordinates
     boxHi: Array[Double],
     height: Int
-) {
+) extends Serializable {
 
   /** The indexed point ids in leaf order: ids in one subtree are contiguous. */
   def leafOrder: Array[Int] = perm.clone()
@@ -170,6 +173,20 @@ final class MaxRhoKdTree private (
     new MaxRhoKdTree.Densities(rhos, maxRho)
   }
 
+  /** Raises leaf slot `slot`'s density under `dens` to `rho` (not NaN) and
+    * the `maxRho` of every node on its root path, in place: the activation
+    * step of Bentley's semidynamic trees, O(height). It never lowers one.
+    */
+  def raise(dens: MaxRhoKdTree.Densities, slot: Int, rho: Double): Unit = {
+    dens.rhos(slot) = math.max(dens.rhos(slot), rho)
+    var node = 0
+    while (node >= 0) {
+      dens.maxRho(node) = math.max(dens.maxRho(node), rho)
+      val r = right(node)
+      node = if (r < 0) -1 else if (slot < first(r)) node + 1 else r
+    }
+  }
+
   /** Nearest point with density strictly above `rhoQ` under `dens` (made by
     * this tree's [[densities]]), as `(id, distance)`; `(-1, +inf)` when there
     * is none.
@@ -237,7 +254,7 @@ object MaxRhoKdTree {
   /** Leaf-order densities of a tree's points and the largest density under
     * each node; see [[MaxRhoKdTree.densities]].
     */
-  final class Densities private[kdtree] (val rhos: Array[Double], val maxRho: Array[Double])
+  final class Densities private[kdtree] (val rhos: Array[Double], val maxRho: Array[Double]) extends Serializable
 
   /** Builds the tree over the points `ids` of `pts`.
     *

@@ -1,12 +1,15 @@
 package repro.kdtree
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestUtil
-import repro.core.Pts
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import repro.{SparkSpec, TestUtil}
+import repro.core.{DPCParams, ExDPC, Order, Pts}
+import repro.data.PointGen
 import scala.util.Random
 
-/** kd-tree vs brute force across dimensions, sizes, and radii. */
-class KdTreeSpec extends AnyFunSuite {
+/** kd-tree vs brute force across dimensions, sizes, and radii, and the
+  * paper's incremental Ex-DPC loop on it against [[ExDPC]].
+  */
+class KdTreeSpec extends SparkSpec {
 
   private val sizes = Seq(1, 2, 17, 200, 800)
   private val dims  = Seq(1, 2, 3, 5)
@@ -186,5 +189,62 @@ class KdTreeSpec extends AnyFunSuite {
     val wide   = new KdTree(spread)
     (39 to 0 by -1).foreach(wide.insert)
     assert(wide.nearest(Array(0.0)) === ((0, 1.0)))
+  }
+
+  /** Replays the paper's incremental Ex-DPC loop (§3): in descending density,
+    * each point's nearest point in the tree, then its insert. Asserts that
+    * the dependent points equal Ex-DPC's and the distances its `delta` bit
+    * for bit.
+    */
+  private def checkReplay(pts: Pts, dcut: Double): Unit = {
+    val res  = ExDPC.run(spark, pts, DPCParams(dcut))
+    val tree = new KdTree(pts)
+    Order.descending(res.rho).foreach { i =>
+      val (j, dist) = tree.nearest(pts.point(i))
+      assert(j === res.depId(i), s"depId($i)")
+      assert(java.lang.Double.compare(dist, res.delta(i)) == 0, s"delta($i): $dist != ${res.delta(i)}")
+      tree.insert(i)
+    }
+    assert(tree.size === pts.n)
+  }
+
+  test("the incremental loop replays Ex-DPC's dependents (PointGen mixture, d=3)") {
+    val centers = PointGen.gridCenters(k = 5, d = 3, domain = 100.0, seed = 41)
+    val pts = Pts.fromDF(PointGen.mixture(spark, 4000, 3, centers, Array.fill(5)(6.0), 0.1, 100.0, seed = 42))
+    checkReplay(pts, dcut = 4.0)
+  }
+
+  test("the incremental loop replays Ex-DPC's dependents (30x30 lattice, about 22 points per position)") {
+    val rnd = new Random(324)
+    val pts = Pts.fromArrays(2, Seq.fill(20000)(Array(rnd.nextInt(30).toDouble, rnd.nextInt(30).toDouble)))
+    checkReplay(pts, dcut = 1.5)
+  }
+
+  test("a partly filled tree answers alike after a Java serialization round trip") {
+    val pts  = TestUtil.quantizedPts(2000, 2, k = 3, sigma = 30.0, domain = 200.0, step = 10.0, seed = 80)
+    val tree = new KdTree(pts)
+    val rnd  = new Random(81)
+    val order = rnd.shuffle((0 until pts.n).toVector)
+    order.take(700).foreach(tree.insert)
+    val bytes = new ByteArrayOutputStream()
+    val out   = new ObjectOutputStream(bytes)
+    out.writeObject(tree)
+    out.close()
+    val copy = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[KdTree]
+    val queries = Seq.fill(30)(Array.fill(2)(10.0 * rnd.nextInt(21))) ++ Seq.fill(10)(pts.point(rnd.nextInt(pts.n)))
+    // The copy answers every query as the original does.
+    def same(): Unit = {
+      assert(copy.size === tree.size)
+      for (q <- queries) {
+        assert(copy.nearest(q) === tree.nearest(q))
+        assert(copy.nearest(q, bound = 15.0) === tree.nearest(q, bound = 15.0))
+        for (r <- Seq(0.0, 10.0, 25.0, 1e4)) assert(copy.rangeCount(q, r) === tree.rangeCount(q, r))
+      }
+    }
+    same()
+    // The copy's activation state is its own and still works: insert the rest into both.
+    order.drop(700).foreach { i => tree.insert(i); copy.insert(i) }
+    same()
+    assert(copy.size === pts.n)
   }
 }

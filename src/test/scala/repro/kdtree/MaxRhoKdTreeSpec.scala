@@ -204,6 +204,55 @@ class MaxRhoKdTreeSpec extends AnyFunSuite {
     assert(checkTies(pts, rho, (0 until pts.n by 53).map(i => (pts.point(i), rho(i)))) > 100)
   }
 
+  /** Starts from no point (`densities(rho, empty)`) and raises `universe`'s
+    * points to their densities in shuffled order. At checkpoints along the
+    * way `denserNearest` equals brute force over the points raised so far,
+    * bit for bit; at the end the densities are bit-equal to those that
+    * `densities(rho, universe)` attaches.
+    */
+  private def checkRaise(pts: Pts, rho: Array[Double], universe: Array[Int], seed: Long): Unit = {
+    val tree   = MaxRhoKdTree.build(pts, Array.range(0, pts.n))
+    val slotOf = new Array[Int](pts.n)
+    tree.leafOrder.zipWithIndex.foreach { case (id, s) => slotOf(id) = s }
+    val dens   = tree.densities(rho, Array.empty)
+    val rnd    = new Random(seed)
+    val order  = rnd.shuffle(universe.toVector)
+    val raised = scala.collection.mutable.ArrayBuffer.empty[Int]
+    order.zipWithIndex.foreach { case (i, step) =>
+      tree.raise(dens, slotOf(i), rho(i))
+      raised += i
+      if (step % (order.length / 12 + 1) == 0 || step == order.length - 1) {
+        for (q <- Seq.fill(12)(rnd.nextInt(pts.n))) {
+          val exp = bruteDenser(pts, rho, raised.toSeq, q)
+          val got = tree.denserNearest(pts.point(q), rho(q), dens)
+          assert(got._1 === exp._1 && java.lang.Double.compare(got._2, exp._2) == 0,
+            s"after ${step + 1} raises, query $q: $got, expected $exp")
+        }
+      }
+    }
+    val want = tree.densities(rho, universe)
+    def bits(a: Array[Double]) = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    assert(bits(dens.rhos) === bits(want.rhos))
+    assert(bits(dens.maxRho) === bits(want.maxRho))
+  }
+
+  test("raising a restricted universe point by point equals attaching its densities") {
+    val pts      = TestUtil.clusteredPts(2000, 3, k = 4, sigma = 40.0, domain = 1000.0, seed = 330)
+    val rho      = TestUtil.bruteRho(pts, 60.0)
+    val universe = (0 until pts.n).filter(i => i % 3 != 0).toArray
+    checkRaise(pts, rho, universe, seed = 331)
+  }
+
+  for (d <- Seq(1, 2, 3)) {
+    test(s"raising quantized duplicates point by point equals attaching their densities (d=$d)") {
+      val n   = 3000
+      val pts = TestUtil.quantizedPts(n, d, k = 3, sigma = 30.0, domain = 200.0, step = 20.0, seed = 332L + d)
+      assert(TestUtil.distinctPositions(pts) < n / 5, "the input must be duplicate-heavy")
+      val rho = Array.tabulate(n)(i => (i * 7 % 31).toDouble)
+      checkRaise(pts, rho, Array.range(0, n), seed = 335L + d)
+    }
+  }
+
   test("an empty tree and an empty universe find nothing") {
     val pts   = TestUtil.uniformPts(30, 2, 10.0, seed = 323)
     val rho   = Array.tabulate(pts.n)(i => Jitter.frac(i))
